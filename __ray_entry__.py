@@ -31,7 +31,7 @@ def entry() -> Any:
     from mistralocr_pdf2md_translator_ray.sources import generate_transcripts
 
     t, p = generate_transcripts(n_convs=20, n_turns=200, seed=42)
-    return extract_turns(rd.from_arrow(t), rd.from_arrow(p), join_partitions=4)
+    return extract_turns(rd.from_arrow(t), rd.from_arrow(p))
 
 
 def _extract_turns_query(sf_dir: str) -> Any:
@@ -41,7 +41,7 @@ def _extract_turns_query(sf_dir: str) -> Any:
     from mistralocr_pdf2md_translator_ray.sources import generate_transcripts
 
     t, p = generate_transcripts(n_convs=50, n_turns=2000, seed=42)
-    return extract_turns(rd.from_arrow(t), rd.from_arrow(p), join_partitions=8)
+    return extract_turns(rd.from_arrow(t), rd.from_arrow(p))
 
 
 def _extract_docs_query(sf_dir: str) -> Any:
@@ -64,7 +64,7 @@ def _extract_turns_dual_query(sf_dir: str) -> Any:
     from mistralocr_pdf2md_translator_ray.sources import generate_transcripts
 
     t, p = generate_transcripts(n_convs=50, n_turns=2000, seed=42)
-    return extract_turns(rd.from_arrow(t), rd.from_arrow(p), join_partitions=8,
+    return extract_turns(rd.from_arrow(t), rd.from_arrow(p),
                          emit_original=True)
 
 

@@ -366,6 +366,7 @@ def run_skew() -> dict:
     DataContext.get_current().enable_progress_bars = False
     ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False,
              ignore_reinit_error=True, logging_level="ERROR")
+    from mistralocr_pdf2md_translator_ray.pipelines import extract_pipeline as ep
     from mistralocr_pdf2md_translator_ray.pipelines.extract_pipeline import (
         extract_documents,
     )
@@ -376,14 +377,18 @@ def run_skew() -> dict:
                                    payloads_path=skew_p,
                                    transcripts_path=skew_t))
     sec = round(time.perf_counter() - t0, 3)
-    # forced STREAMING regime (barrier_max_rows=0): the >2M-row shape,
-    # measured here so the no-barrier path has a perf artifact too
-    t0 = time.perf_counter()
-    n2 = _consume(extract_documents(rd.read_parquet(skew_t),
-                                    payloads_path=skew_p,
-                                    transcripts_path=skew_t,
-                                    barrier_max_rows=0))
-    sec_stream = round(time.perf_counter() - t0, 3)
+    # forced STREAMING regime (BARRIER_ASSEMBLY_MAX_ROWS=0): the >2M-row
+    # shape, measured here so the no-barrier path has a perf artifact too
+    barrier_rows = ep.BARRIER_ASSEMBLY_MAX_ROWS
+    ep.BARRIER_ASSEMBLY_MAX_ROWS = 0
+    try:
+        t0 = time.perf_counter()
+        n2 = _consume(extract_documents(rd.read_parquet(skew_t),
+                                        payloads_path=skew_p,
+                                        transcripts_path=skew_t))
+        sec_stream = round(time.perf_counter() - t0, 3)
+    finally:
+        ep.BARRIER_ASSEMBLY_MAX_ROWS = barrier_rows
     ray.shutdown()
     return {"metric": "extract_documents over 50%-hot skew corpus",
             "value": sec, "unit": "sec", "rows": n,

@@ -1,25 +1,36 @@
 """Flagship pipeline: transcript turns -> clean per-turn Markdown.
 
 Ray-Data-native restatement of the reference's six-stage dataflow
-(``mistralocr_app.py:546-765``):
+(``mistralocr_app.py:546-765``). ``extract_turns`` splices child
+payloads back in by one of two joins, chosen by the child-table size
+(``BROADCAST_CHILD_MAX_ROWS``):
 
+    broadcast (child table fits):
     read_parquet(transcripts)                         # S1
-      -> map_batches(TurnExtractor, actor pool)       # M1 doc extraction
+      -> payloads -> child map, ray.put once          # M3/ST5 + A1 regroup
+      -> map_batches(extract+splice+normalize)        # M1 + J1 + M6 + M12
+
+    co-group (child table too big to broadcast):
+    read_parquet(transcripts)                         # S1
       [placeholder-bearing turns only]
+      -> map_batches(TurnExtractor, actor pool)       # M1 doc extraction
       -> payloads -> map_batches(ChildExtractor)      # M3/ST5 child extraction
-      -> groupby(conv,turn).map_groups(collect)       # A1 regroup
-      -> co-group join with parents (left outer)      # J1 composite-key join
+      -> bucketed co-group with parents (left outer)  # A1 regroup + J1 join
       -> map_batches(finalize: splice+normalize)      # M6 + M12
       [placeholder-free turns]
-      -> map_batches(finalize: normalize)             # M12
+      -> map_batches(TurnExtractor) -> finalize       # M1 + M12
       -> union                                        # per-turn output
-      -> (optional) assemble_conversations            # A2 ordered concat
 
-Scale notes: only the ~10-15% of turns that actually carry placeholders
-enter the join shuffle; everything else streams straight through
-stateless/actor map stages. The child table is pre-reduced to one row
-per (conv_id, turn_idx) before the join so the exchanged volume is
-bounded by distinct placeholder-bearing turns, not payload count.
+``extract_documents`` then assembles one document per conversation
+with ``assemble_conversations_hotaware`` (A2 ordered concat), salting
+only the conversations longer than ``hot_threshold`` turns.
+
+Scale notes: on the co-group route only the ~10-15% of turns that
+actually carry placeholders enter the join shuffle; everything else
+streams straight through stateless/actor map stages. The child table
+is pre-reduced to one row per (conv_id, turn_idx) inside each bucket,
+so the merge is bounded by distinct placeholder-bearing turns, not
+payload count.
 """
 
 from __future__ import annotations
@@ -213,8 +224,6 @@ def _broadcast_pipeline(transcripts, plain_pool: dict, ctor_kwargs: dict):
     )
 
 
-from ..stages.assemble import assemble_conversations
-
 def _pools() -> tuple[dict, dict, dict]:
     """Actor-pool sizing scaled to the cluster.
 
@@ -256,8 +265,6 @@ BROADCAST_CHILD_MAX_ROWS = 2_000_000
 def extract_turns(
     transcripts: "ray.data.Dataset",
     payloads: Optional["ray.data.Dataset"] = None,
-    join_partitions: int = 16,  # cogroup path bucket sizing
-    child_join: str = "auto",   # "auto" | "broadcast" | "cogroup"
     payloads_path: Optional[str] = None,  # enables the overlapped path
     conv_filter=None,  # (part_ids, n_partitions) resume restriction
     emit_original: bool = False,  # dual-variant output (md_original column)
@@ -267,13 +274,12 @@ def extract_turns(
 
     Child-splice join strategy:
 
-    - **broadcast** (chosen by "auto" when the aggregated child table is
-      <= BROADCAST_CHILD_MAX_ROWS): the child results ride the object
-      store once (``ray.put``) and every finalize task probes the map
-      locally. One extraction branch, zero shuffles — the two-branch
-      union + sort barrier otherwise serializes the pipeline (measured
-      2x wall on the bench corpus).
-    - **cogroup** (chosen when the child side is too big to broadcast):
+    - **broadcast** (child table <= BROADCAST_CHILD_MAX_ROWS): the
+      child results ride the object store once (``ray.put``) and every
+      finalize task probes the map locally. One extraction branch,
+      zero shuffles — the two-branch union + sort barrier otherwise
+      serializes the pipeline (measured 2x wall on the bench corpus).
+    - **cogroup** (when the child side is too big to broadcast):
       pre-split on placeholder presence; only the ~12%% of turns that
       carry placeholders enter the bucketed co-group shuffle
       (stages/joins.py).
@@ -294,7 +300,8 @@ def extract_turns(
     # below benefits.
     transcripts = transcripts.repartition(target_num_rows_per_block=8192)
 
-    if payloads_path is not None and child_join in ("auto", "broadcast"):
+    children = None
+    if payloads_path is not None:
         # Overlapped broadcast path: child partial maps are computed by
         # raw Ray TASKS over the payload parquet shards (the Dataset API
         # cannot express "start the main stream now, block the splice
@@ -305,12 +312,11 @@ def extract_turns(
         # The broadcast is BOUNDED: total child rows come from parquet
         # footer metadata (no data read); past BROADCAST_CHILD_MAX_ROWS
         # the merged per-actor map would not fit worker heaps at scale,
-        # so "auto" re-routes to the streaming cogroup join instead
-        # (byte-identical output — TestCogroupPathEquality).
+        # so it re-routes to the streaming cogroup join instead
+        # (byte-identical output — TestOverlappedBound).
         files = _payload_files(payloads_path)
         if files:
-            n_child_rows = _parquet_meta_rows(files)
-            if child_join == "broadcast" or n_child_rows <= BROADCAST_CHILD_MAX_ROWS:
+            if _parquet_meta_rows(files) <= BROADCAST_CHILD_MAX_ROWS:
                 refs = _child_partial_refs(files, conv_filter=conv_filter)
                 return _broadcast_pipeline(
                     transcripts, plain_pool,
@@ -319,7 +325,10 @@ def extract_turns(
             payloads = rd.read_parquet(files)
             if conv_filter is not None:
                 payloads = _filter_conv_partitions(payloads, conv_filter)
-            child_join = "cogroup"
+            # the footers already rule the broadcast out: child
+            # extraction streams straight into the co-group
+            children = payloads.map_batches(
+                ChildExtractor, batch_format="pyarrow", **child_pool)
         else:
             # No top-level local parquet files (remote URI, nested
             # layout, or caller passed a Dataset alongside the path):
@@ -334,7 +343,7 @@ def extract_turns(
             TurnExtractor, batch_format="pyarrow", **plain_pool, **ctor
         ).map_batches(fin_plain, batch_format="pyarrow")
 
-    if child_join in ("auto", "broadcast"):
+    if children is None:
         # The child phase runs to completion BEFORE the main pass (its
         # result is the broadcast map), so nothing competes for cores:
         # give it half the cluster instead of the steady-state slice.
@@ -346,17 +355,13 @@ def extract_turns(
             ChildExtractor, batch_format="pyarrow", **burst_pool
         ).materialize()
         n_children = child_mat.count()
-        if child_join == "broadcast" or n_children <= BROADCAST_CHILD_MAX_ROWS:
+        if n_children <= BROADCAST_CHILD_MAX_ROWS:
             cmap_ref = _broadcast_child_map(child_mat)
             return _broadcast_pipeline(
                 transcripts, plain_pool,
                 {"cmap_ref": cmap_ref, "extra_extractors": get_registry(),
                  "emit_original": emit_original})
         children = child_mat  # too big to broadcast; reuse for cogroup
-    else:
-        children = payloads.map_batches(
-            ChildExtractor, batch_format="pyarrow", **child_pool
-        )
 
     # Pre-split on the *input* text so each branch extracts its rows
     # exactly once (a lazy Dataset consumed by two branches would
@@ -387,7 +392,7 @@ def extract_turns(
         merge_fn=merge_children_into_parents,
         left_schema=PARENT_SCHEMA,
         right_schema=CHILD_SCHEMA,
-        num_buckets=join_partitions * 4,
+        num_buckets=64,
     )
     spliced = joined.map_batches(fin_children, batch_format="pyarrow")
     plain_out = plain.map_batches(fin_plain, batch_format="pyarrow")
@@ -398,10 +403,11 @@ def _hot_conversations(transcripts: "ray.data.Dataset",
                        hot_threshold: int,
                        driver_cap: int = 2_000_000) -> set:
     """Conversations longer than ``hot_threshold`` turns, counted on the
-    RAW transcript input (``conv_id`` column only). Turn counts are
-    invariant under extraction — errors are values, rows are never
-    dropped (SURVEY.md §1.1) — so hot detection never consumes the
-    expensive extraction stream.
+    RAW transcript input (``conv_id`` column only) or on a re-readable
+    per-turn store (the checkpointed job). Turn counts are invariant
+    under extraction — errors are values, rows are never dropped
+    (SURVEY.md §1.1) — so hot detection never consumes the expensive
+    extraction stream.
 
     ADAPTIVE combine: the per-batch partials (one row per (batch,
     conv)) stream to the driver and combine in one vectorized
@@ -416,11 +422,6 @@ def _hot_conversations(transcripts: "ray.data.Dataset",
 
     from ..functions.hashing import bucket_ids
     from ..stages.joins import coalesce_blocks
-
-    if hot_threshold <= 0:
-        # degenerate: every conversation is hot; collect distinct ids
-        # (test-only path — production thresholds are >= thousands)
-        return set(transcripts.unique("conv_id"))
 
     def batch_counts(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("conv_id", as_index=False).agg(n=("conv_id", "size"))
@@ -533,12 +534,11 @@ BARRIER_ASSEMBLY_MAX_ROWS = 2_000_000
 def extract_documents(
     transcripts: "ray.data.Dataset",
     payloads: Optional["ray.data.Dataset"] = None,
-    salt_span: int | None = 256,
+    salt_span: int = 256,
     payloads_path: Optional[str] = None,
     emit_original: bool = False,
     hot_threshold: int = 10_000,
     transcripts_path=None,  # enables footer gating + overlapped hot count
-    barrier_max_rows: int = BARRIER_ASSEMBLY_MAX_ROWS,
 ) -> "ray.data.Dataset":
     """Whole-document output: one row per conversation
     (conv_id, n_turns, doc_md), turn order restored inside groups.
@@ -546,33 +546,32 @@ def extract_documents(
     (doc_md + doc_md_original — the reference's dual
     original/translated outputs, mistralocr_app.py:714-717).
 
-    Assembly is ADAPTIVE in two dimensions. (1) SIZE, gated by parquet
-    footer row counts when ``transcripts_path`` is given: bounded
-    inputs (<= ``barrier_max_rows``) take an explicit materialize
-    BARRIER between extraction and the assembly shuffle — extraction
-    runs with its full actor pool, then the all-to-all gets the whole
-    cluster (measured 13.1 vs 17.5 s streaming at 243k turns: the
-    fused shuffle starves while the pool still holds 3/4 of the cores,
-    and Ray's sort-based shuffle holds the input in the object store
-    anyway). Unbounded inputs STREAM: hot detection runs as overlapped
-    raw tasks over the raw input's conv_id column (turn counts are
-    invariant under extraction — errors are values, rows are never
-    dropped), and the stream feeds ONE hot-aware shuffle without ever
-    being held twice. (2) SKEW: cold conversations finalize in
-    phase 1; only hot conversations' doc-level partials take the tiny
-    phase-2 shuffle (``assemble_conversations_hotaware``). The earlier
+    Extraction runs ONCE and feeds ``assemble_conversations_hotaware``,
+    which salts only the conversations longer than ``hot_threshold``
+    turns: cold conversations finalize in phase 1, and only the hot
+    ones' doc-level partials take the tiny phase-2 shuffle. The earlier
     design split the raw input into concurrent cold/hot extraction
     branches with fractional actor pools — two assembly shuffles and
     double input scans measured 2.2x slower than extract-once on the
-    50%%-hot skew corpus.
+    50%%-hot skew corpus. The hot count runs on the RAW input's conv_id
+    column (turn counts are invariant under extraction — errors are
+    values, rows are never dropped).
+
+    With ``transcripts_path`` the count runs as overlapped raw tasks
+    over the transcript files, and the parquet footer row count picks
+    the size regime (``BARRIER_ASSEMBLY_MAX_ROWS``, read at call time):
+    bounded inputs take an explicit materialize BARRIER between
+    extraction and the assembly shuffle — extraction runs with its full
+    actor pool, then the all-to-all gets the whole cluster (measurement
+    at the constant). Larger inputs STREAM into the one hot-aware
+    shuffle without ever being held twice, the assembly closures
+    resolving the pending hot count at their first batch.
 
     Without ``transcripts_path``, assumes ``transcripts`` is cheaply
-    re-consumable — a parquet read or in-memory Dataset (the sync hot
-    scan re-reads only ``conv_id``). The checkpointed path
-    (pipelines/job.py) instead re-reads its checkpoint parquet via
-    ``assemble_conversations_adaptive``.
-
-    ``salt_span=None`` forces single-phase for every conversation."""
+    re-consumable — a parquet read or in-memory Dataset (the hot scan
+    re-reads only ``conv_id``). The checkpointed job
+    (pipelines/job.py) counts on its per-turn checkpoint parquet
+    instead."""
     import ray
 
     from ..stages.assemble import assemble_conversations_hotaware
@@ -580,21 +579,17 @@ def extract_documents(
     turns = extract_turns(transcripts, payloads,
                           payloads_path=payloads_path,
                           emit_original=emit_original)
-    if salt_span is None:
-        return assemble_conversations(turns, salt_span=None,
-                                      include_original=emit_original)
     files = _payload_files(transcripts_path) if transcripts_path is not None else []
     if files:
         # Launch the raw-task hot count NOW (parallel single-column
         # reads, no Ray Data fixed costs); both regimes share it.
         hot_ref = _hot_conversations_from_files(files, hot_threshold)
-        if _parquet_meta_rows(files) <= barrier_max_rows:
-            # Footer-gated BARRIER regime (BARRIER_ASSEMBLY_MAX_ROWS):
-            # extraction runs with its full actor pool, then the
-            # assembly shuffle gets the whole cluster. The count
-            # overlaps the materialize barrier; the get() after it is
-            # ~free, and the empty-hot single-phase shortcut stays
-            # reachable.
+        if _parquet_meta_rows(files) <= BARRIER_ASSEMBLY_MAX_ROWS:
+            # BARRIER regime: extraction runs with its full actor pool,
+            # then the assembly shuffle gets the whole cluster. The
+            # count overlaps the materialize barrier; the get() after
+            # it is ~free, and the empty-hot single-phase shortcut
+            # stays reachable.
             turns = turns.materialize()
             return assemble_conversations_hotaware(
                 turns, ray.get(hot_ref), salt_span=salt_span,

@@ -25,11 +25,8 @@ import os
 import ray.data as rd
 
 from ..state.checkpoint import run_checkpointed
-from .extract_pipeline import extract_turns
-from ..stages.assemble import (
-    assemble_conversations,
-    assemble_conversations_adaptive,
-)
+from .extract_pipeline import _hot_conversations, extract_turns
+from ..stages.assemble import assemble_conversations_hotaware
 
 
 def run_extract_job(
@@ -38,7 +35,7 @@ def run_extract_job(
     out_dir: str,
     n_partitions: int = 16,
     assemble: bool = True,
-    salt_span: int | None = 256,
+    salt_span: int = 256,
     hot_threshold: int = 10_000,
     assembly_buckets: int = 64,
 ) -> "rd.Dataset":
@@ -82,19 +79,13 @@ def run_extract_job(
                 import shutil
 
                 shutil.rmtree(docs_dir)
-            if salt_span is None:
-                # caller explicitly opted out of salting entirely
-                docs = assemble_conversations(per_turn, salt_span=None,
-                                              num_buckets=assembly_buckets)
-            else:
-                # the per-turn checkpoint store is re-consumable parquet,
-                # so the adaptive strategy (salt only hot conversations)
-                # applies without re-materialization
-                docs = assemble_conversations_adaptive(
-                    per_turn, hot_threshold=hot_threshold,
-                    salt_span=salt_span, num_buckets=assembly_buckets,
-                    reusable_input=True,
-                )
+            # the per-turn checkpoint store is re-consumable parquet, so
+            # the hot count re-reads only its conv_id column; only
+            # conversations over hot_threshold turns are salted
+            hot = _hot_conversations(per_turn, hot_threshold)
+            docs = assemble_conversations_hotaware(
+                per_turn, hot, salt_span=salt_span,
+                num_buckets=assembly_buckets)
             docs.write_parquet(docs_dir)
             open(os.path.join(docs_dir, "_done"), "w").close()
     return per_turn

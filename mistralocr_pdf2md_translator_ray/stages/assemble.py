@@ -5,20 +5,24 @@ The reference joins pages with ``"\\n\\n---\\n\\n"`` in list order
 conversation, sort *inside the group* by ``(turn_idx, ts)``, join.
 Block order is never trusted.
 
-Two scale levers:
+One entry point, ``assemble_conversations_hotaware``, with two scale
+levers:
 
 - **Bucketing**: grouping runs on ``crc32(key) % B`` buckets, not raw
   conversation ids — one ``map_groups`` call per bucket with vectorized
   pandas inside, never one UDF call per conversation (millions of tiny
   groups would pay ~ms of per-group overhead each; see
   stages/joins.py).
-- **Salting** (``salt_span``): one hot conversation can hold ~half of
-  all turns (FIXTURES.md). Phase 1 groups by (conv, salt) where
-  ``salt = turn_idx // span`` — contiguous ranges, so concatenating
-  per-salt partials in salt order equals concatenating the whole sorted
-  conversation (splice associativity: ``sep.join(parts)`` where each
-  part is ``sep.join(chunk)`` == ``sep.join(all)``). Phase 2 reduces
-  the much smaller partials per conversation.
+- **Salting** (``salt_span``), for the conversations in the hot set
+  only: one hot conversation can hold ~half of all turns (FIXTURES.md).
+  Phase 1 groups by (conv, salt) where ``salt = turn_idx // span`` —
+  contiguous ranges, so concatenating per-salt partials in salt order
+  equals concatenating the whole sorted conversation (splice
+  associativity: ``sep.join(parts)`` where each part is
+  ``sep.join(chunk)`` == ``sep.join(all)``). Phase 2 reduces the much
+  smaller partials per conversation. The hot set only routes rows, so
+  every hot set gives the same documents; an empty one is the
+  single-phase path.
 """
 
 from __future__ import annotations
@@ -28,10 +32,6 @@ import pyarrow as pa
 
 from ..functions.hashing import bucket_ids, bucket_ids_np
 from ..functions.scalars import PAGE_SEPARATOR
-
-
-def _bucket_col(keys: pa.ChunkedArray, B: int) -> pa.Array:
-    return bucket_ids(keys, B)
 
 
 # (turn column, assembled document column) pairs; the dual variant
@@ -71,103 +71,40 @@ def _final_bucket(g: pd.DataFrame, value_cols=_SINGLE_COLS) -> pd.DataFrame:
     return out[["conv_id", "n_turns"] + doc_cols]
 
 
-def assemble_conversations_sorted(per_turn_ds):
-    """Alternative assembly: ONE global sort + boundary-fragment fixup.
+def _assemble_single_phase(per_turn_ds, num_buckets: int,
+                           include_original: bool):
+    """Empty hot set: one bucketed shuffle, each conversation assembled
+    whole inside its bucket. With ``include_original`` the input's
+    ``md_original`` column assembles to ``doc_md_original`` in the same
+    pass (one shuffle for both variants)."""
+    import functools
 
-    ``sort(conv_id, turn_idx)`` makes each conversation's rows globally
-    contiguous, so each sorted block can assemble its interior
-    conversations completely; only the first/last conversation of each
-    block becomes a *fragment* (conv_id, min turn_idx, partial doc).
-    The fixup shuffle then moves ~2 rows per block instead of the full
-    corpus — half the shuffle bytes of the salted two-phase.
+    from .joins import coalesce_blocks
 
-    Trade-off vs the salted default: a single pathologically hot
-    conversation is assembled by one fixup task (fine up to task
-    memory); use the salted strategy when documents can exceed worker
-    heap. Measured (244k turns, 32 CPUs): salted 6.7s, sorted 10.4s —
-    Ray's range-partitioned sort costs more than the two bucket
-    groupbys despite moving half the bytes, so salted stays the
-    default; this strategy exists for order-sensitive sinks that want a
-    globally sorted output anyway.
-    """
-    ds = (
-        per_turn_ds.select_columns(["conv_id", "turn_idx", "ts", "md"])
-        .sort(["conv_id", "turn_idx", "ts"])
+    value_cols = _DUAL_COLS if include_original else _SINGLE_COLS
+
+    def add_bucket(t: pa.Table) -> pa.Table:
+        return t.append_column("b", bucket_ids(t["conv_id"], num_buckets))
+
+    return (
+        per_turn_ds.select_columns(
+            ["conv_id", "turn_idx", "ts"] + [src for src, _ in value_cols])
+        .map_batches(add_bucket, batch_format="pyarrow")
+        .repartition(coalesce_blocks())
+        .groupby("b")
+        .map_groups(functools.partial(_assemble_bucket, value_cols=value_cols),
+                    batch_format="pandas")
     )
-
-    def per_block(t: pa.Table) -> pa.Table:
-        convs = t["conv_id"].to_pylist()
-        turns = t["turn_idx"].to_pylist()
-        mds = t["md"].to_pylist()
-        out = {"conv_id": [], "kind": [], "min_turn": [], "n_turns": [],
-               "doc_md": []}
-        if not convs:
-            return pa.table({
-                "conv_id": pa.array([], pa.string()),
-                "kind": pa.array([], pa.string()),
-                "min_turn": pa.array([], pa.int64()),
-                "n_turns": pa.array([], pa.int64()),
-                "doc_md": pa.array([], pa.string()),
-            })
-        runs: list[tuple[int, int]] = []  # [start, end) index runs per conv
-        start = 0
-        for i in range(1, len(convs) + 1):
-            if i == len(convs) or convs[i] != convs[start]:
-                runs.append((start, i))
-                start = i
-        for ri, (a, b) in enumerate(runs):
-            interior = 0 < ri < len(runs) - 1
-            out["conv_id"].append(convs[a])
-            out["kind"].append("doc" if interior else "frag")
-            out["min_turn"].append(int(turns[a]))
-            out["n_turns"].append(b - a)
-            out["doc_md"].append(PAGE_SEPARATOR.join(mds[a:b]))
-        return pa.table({
-            "conv_id": pa.array(out["conv_id"], pa.string()),
-            "kind": pa.array(out["kind"], pa.string()),
-            "min_turn": pa.array(out["min_turn"], pa.int64()),
-            "n_turns": pa.array(out["n_turns"], pa.int64()),
-            "doc_md": pa.array(out["doc_md"], pa.string()),
-        })
-
-    # materialize so the two downstream consumers don't re-execute the
-    # sort (materialized datasets are reusable; spills if oversized)
-    blocks = ds.map_batches(per_block, batch_format="pyarrow",
-                            batch_size=None).materialize()
-
-    def keep(t: pa.Table, kind: str) -> pa.Table:
-        import pyarrow.compute as pc
-
-        m = pc.equal(t["kind"], kind)
-        return t.filter(m).select(["conv_id", "min_turn", "n_turns", "doc_md"])
-
-    docs = blocks.map_batches(lambda t: keep(t, "doc"), batch_format="pyarrow")
-
-    def join_frags(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("min_turn", kind="mergesort")
-        return pd.DataFrame({
-            "conv_id": [g["conv_id"].iloc[0]],
-            "min_turn": pd.array([int(g["min_turn"].iloc[0])], dtype="int64"),
-            "n_turns": pd.array([int(g["n_turns"].sum())], dtype="int64"),
-            "doc_md": [PAGE_SEPARATOR.join(g["doc_md"].tolist())],
-        })
-
-    fixed = (
-        blocks.map_batches(lambda t: keep(t, "frag"), batch_format="pyarrow")
-        .groupby("conv_id")
-        .map_groups(join_frags, batch_format="pandas")
-        # coerce back to Arrow blocks: the union's other side is Arrow
-        # and mixed block types break downstream batching
-        .map_batches(lambda t: t, batch_format="pyarrow")
-    )
-    return docs.union(fixed).select_columns(["conv_id", "n_turns", "doc_md"])
 
 
 def assemble_conversations_hotaware(per_turn_ds, hot: set,
                                     salt_span: int = 256,
                                     num_buckets: int = 64,
                                     include_original: bool = False):
-    """Single-pass adaptive assembly given a known hot-conversation set.
+    """Single-pass adaptive assembly given a known hot-conversation set:
+    per-turn Dataset (conv_id, turn_idx, ts, md, ...) -> one row per
+    conversation (conv_id, n_turns, doc_md); ``include_original`` also
+    assembles ``md_original`` to ``doc_md_original`` in the same pass.
 
     ONE full-volume shuffle: every row gets a salt, but only rows of
     conversations in ``hot`` carry a real one (``turn_idx // span``);
@@ -204,9 +141,8 @@ def assemble_conversations_hotaware(per_turn_ds, hot: set,
         hot_ref = hot
     else:
         if not hot:
-            return assemble_conversations(per_turn_ds, salt_span=None,
-                                          num_buckets=num_buckets,
-                                          include_original=include_original)
+            return _assemble_single_phase(per_turn_ds, num_buckets,
+                                          include_original)
         hot_ref = ray.put(pa.array(sorted(hot), pa.string()))
 
     import pyarrow.compute as pc
@@ -269,113 +205,3 @@ def assemble_conversations_hotaware(per_turn_ds, hot: set,
         .map_batches(lambda t: t.select(final_cols), batch_format="pyarrow")
     )
     return cold.union(hot_final)
-
-
-def assemble_conversations_adaptive(per_turn_ds, hot_threshold: int = 10_000,
-                                    salt_span: int = 256,
-                                    num_buckets: int = 64,
-                                    reusable_input: bool = False,
-                                    include_original: bool = False):
-    """Adaptive salting: salt ONLY conversations longer than
-    ``hot_threshold`` turns; everything else takes the cheap
-    single-phase path. Always-salting costs a second full-volume
-    shuffle that measured 2.7x the single-phase on a 50%%-hot corpus
-    whose hot group still fit one task — salting is a memory/straggler
-    guard, not a default tax.
-
-    This function consumes its input twice (hot-count pass + the
-    single hot-aware assembly pass). Pass ``reusable_input=True`` ONLY
-    when re-consumption is free (a checkpointed parquet read-back, as
-    in ``pipelines/job.py``, or an already-materialized Dataset);
-    otherwise the input is defensively ``materialize()``d here so a
-    lazy upstream pipeline is not re-executed twice. Callers that know
-    the hot set from the RAW input (``extract_documents``) call
-    ``assemble_conversations_hotaware`` directly and skip both.
-    """
-    from ray.data.aggregate import Sum
-
-    if not reusable_input:
-        per_turn_ds = per_turn_ds.materialize()
-
-    cols = ["conv_id", "turn_idx", "ts", "md"]
-    if include_original:
-        cols.append("md_original")
-    per_turn_ds = per_turn_ds.select_columns(cols)
-
-    counts_partial = per_turn_ds.select_columns(["conv_id"]).map_batches(
-        lambda df: df.groupby("conv_id", as_index=False).agg(
-            n=("conv_id", "size")),
-        batch_format="pandas", batch_size=65536,
-    )
-    counts = counts_partial.groupby("conv_id").aggregate(Sum("n", alias_name="n"))
-    # filter n > hot_threshold ON-CLUSTER: the driver only ever collects
-    # the (almost always tiny) hot set, never a row per conversation
-    hot_only = counts.map_batches(
-        lambda df: df.loc[df["n"] > hot_threshold, ["conv_id"]],
-        batch_format="pandas")
-    hot = {r["conv_id"] for r in hot_only.take_all()}
-    return assemble_conversations_hotaware(
-        per_turn_ds, hot, salt_span=salt_span, num_buckets=num_buckets,
-        include_original=include_original)
-
-
-def assemble_conversations(per_turn_ds, salt_span: int | None = 256,
-                           num_buckets: int = 64,
-                           include_original: bool = False):
-    """per-turn Dataset (conv_id, turn_idx, ts, md, ...) -> one row per
-    conversation (conv_id, n_turns, doc_md). With ``include_original``
-    the input's ``md_original`` column assembles to
-    ``doc_md_original`` in the same pass (one shuffle for both
-    variants — never two assembly runs)."""
-    import functools
-
-    value_cols = _DUAL_COLS if include_original else _SINGLE_COLS
-    ds = per_turn_ds.select_columns(
-        ["conv_id", "turn_idx", "ts"] + [src for src, _ in value_cols])
-
-    if salt_span is None:
-        def add_bucket(t: pa.Table) -> pa.Table:
-            return t.append_column("b", _bucket_col(t["conv_id"], num_buckets))
-
-        from .joins import coalesce_blocks
-
-        return (
-            ds.map_batches(add_bucket, batch_format="pyarrow")
-            .repartition(coalesce_blocks())
-            .groupby("b")
-            .map_groups(functools.partial(_assemble_bucket, value_cols=value_cols),
-                        batch_format="pandas")
-        )
-
-    span = int(salt_span)
-
-    def add_salt_bucket(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        salt = pc.divide(pc.cast(t["turn_idx"], pa.int64()), span)
-        key = pc.binary_join_element_wise(
-            t["conv_id"], pc.cast(salt, pa.string()), "\x1f")
-        b = bucket_ids(key, num_buckets)
-        return t.append_column("salt", salt).append_column("b", b)
-
-    from .joins import coalesce_blocks
-
-    partials = (
-        ds.map_batches(add_salt_bucket, batch_format="pyarrow")
-        .repartition(coalesce_blocks())
-        .groupby("b")
-        .map_groups(functools.partial(_partial_bucket, value_cols=value_cols),
-                    batch_format="pandas")
-    )
-
-    def add_conv_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["b"] = bucket_ids_np(df["conv_id"].to_numpy(), num_buckets)
-        return df
-
-    return (
-        partials.map_batches(add_conv_bucket, batch_format="pandas")
-        .groupby("b")
-        .map_groups(functools.partial(_final_bucket, value_cols=value_cols),
-                    batch_format="pandas")
-    )

@@ -268,7 +268,7 @@ def append_to_ivf_index(new_dir: str, index_dir: str) -> None:
     """
     import json
 
-    from .dedup_incremental import _staged_partition_append
+    from .dedup_incremental import _save_meta_atomic, _staged_partition_append
 
     C = np.load(os.path.join(index_dir, "centroids.npy"))
     meta_p = os.path.join(index_dir, "meta.json")
@@ -283,10 +283,7 @@ def append_to_ivf_index(new_dir: str, index_dir: str) -> None:
     _staged_partition_append(
         lambda d: _assign_and_write(C, new_dir, d), index_dir, tag)
     meta["appended_paths"].append(new_path)
-    tmp = meta_p + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(meta, f)
-    os.replace(tmp, meta_p)
+    _save_meta_atomic(index_dir, meta)
 
 
 def knn_cosine_ivf_indexed(index_dir: str, query_vec: np.ndarray,

@@ -44,7 +44,7 @@ def pipeline_turns(tiny_fixture, ray_session):
     from mistralocr_pdf2md_translator_ray.pipelines.extract_pipeline import extract_turns
 
     t, p = tiny_fixture
-    out = extract_turns(rd.from_arrow(t), rd.from_arrow(p), join_partitions=4)
+    out = extract_turns(rd.from_arrow(t), rd.from_arrow(p))
     return (
         out.to_pandas()
         .sort_values(["conv_id", "turn_idx"])

@@ -1173,12 +1173,14 @@ class TestZeroVectorSafety:
 
 class TestIvfAppendCrashRetry:
     def test_retry_after_partial_append_is_idempotent(self, tmp_path,
-                                                      ray_session):
+                                                      ray_session,
+                                                      monkeypatch):
         """Simulate 'crashed after the partition move, before the meta
         write' by undoing the meta record: the retry must purge and
         re-move the same tagged files, leaving exactly one copy of
         every appended vector (and re-appending a folded shard is
-        rejected)."""
+        rejected). The meta is the keystone of that protocol, so its
+        tmp file must be fsynced before the rename."""
         import json
         import os
 
@@ -1205,7 +1207,18 @@ class TestIvfAppendCrashRetry:
 
         idx = str(tmp_path / "cidx")
         build_ivf_index(str(old_dir), idx, n_centroids=4, seed=5)
+        meta_tmp = os.path.join(idx, "meta.json.tmp")
+        synced = []
+        real_fsync = os.fsync
+
+        def fsync_spy(fd):
+            if os.path.exists(meta_tmp):
+                synced.append(os.path.samestat(os.fstat(fd), os.stat(meta_tmp)))
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync_spy)
         append_to_ivf_index(str(new_dir), idx)
+        assert any(synced), "meta.json was replaced without an fsync"
 
         def total_rows():
             return sum(

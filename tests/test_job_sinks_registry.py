@@ -29,8 +29,17 @@ def _write_fixture(tmp_path):
 
 
 class TestExtractJob:
-    def test_job_matches_oracle_and_resumes(self, tmp_path, ray_session, oracle_turns):
+    def _docs(self, out_dir):
+        return (
+            rd.read_parquet(os.path.join(out_dir, "docs")).to_pandas()
+            .sort_values("conv_id").reset_index(drop=True)
+        )
+
+    def test_job_matches_oracle_and_resumes(self, tmp_path, ray_session,
+                                            oracle_turns, monkeypatch):
+        from mistralocr_pdf2md_translator_ray.pipelines import job
         from mistralocr_pdf2md_translator_ray.pipelines.job import run_extract_job
+        from mistralocr_pdf2md_translator_ray.pipelines.oracle import oracle_assemble
         from mistralocr_pdf2md_translator_ray.state import load_lineage
 
         _t, _p, t_path, p_path = _write_fixture(tmp_path)
@@ -45,9 +54,10 @@ class TestExtractJob:
         cols = exp.columns.tolist()
         pd.testing.assert_frame_equal(got[cols], exp, check_dtype=False)
 
-        # docs written once
-        docs = rd.read_parquet(os.path.join(out_dir, "docs")).to_pandas()
-        assert len(docs) == exp["conv_id"].nunique()
+        # docs written once, equal to the oracle documents
+        exp_docs = oracle_assemble(oracle_turns).to_pandas()
+        pd.testing.assert_frame_equal(
+            self._docs(out_dir)[exp_docs.columns.tolist()], exp_docs)
 
         # resume: lose one partition's lineage -> only it recomputes,
         # others' files untouched, output identical
@@ -77,6 +87,25 @@ class TestExtractJob:
                 os.path.join(out_dir, "turns", "data", f"part_id={p_id}")) == mt
         l2 = load_lineage(os.path.join(out_dir, "turns"))
         assert l2[victim]["content_hash"]  # recomputed and verified
+
+        # docs again with a threshold below the fixture's hot
+        # conversation: the job's hot count salts it, same documents
+        hot_sets = []
+        assemble = job.assemble_conversations_hotaware
+
+        def spy(per_turn, hot, **kw):
+            hot_sets.append(hot)
+            return assemble(per_turn, hot, **kw)
+
+        monkeypatch.setattr(job, "assemble_conversations_hotaware", spy)
+        shutil.rmtree(os.path.join(out_dir, "docs"))
+        run_extract_job(t_path, p_path, out_dir, n_partitions=4,
+                        salt_span=16, hot_threshold=40)
+        sizes = exp["conv_id"].value_counts()
+        assert hot_sets == [set(sizes[sizes > 40].index)]
+        assert 0 < len(hot_sets[0]) < len(sizes)
+        pd.testing.assert_frame_equal(
+            self._docs(out_dir)[exp_docs.columns.tolist()], exp_docs)
 
 
 class TestSinks:

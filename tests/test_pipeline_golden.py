@@ -70,7 +70,7 @@ class TestPermutationInvariance:
         tds = rd.from_arrow(t_shuf).repartition(9)
         pds = rd.from_arrow(p).repartition(3)
         got = _canon(
-            extract_turns(tds, pds, join_partitions=3)
+            extract_turns(tds, pds)
             .to_pandas()
             .sort_values(["conv_id", "turn_idx"])
             .reset_index(drop=True)
@@ -79,26 +79,8 @@ class TestPermutationInvariance:
         pd.testing.assert_frame_equal(got[exp.columns.tolist()], exp, check_dtype=False)
 
 
-class TestCogroupPathEquality:
-    """The big-child-side fallback (bucketed co-group shuffle) must
-    produce byte-identical output to the broadcast path."""
-
-    def test_cogroup_strategy_matches_oracle(self, tiny_fixture, oracle_turns):
-        t, p = tiny_fixture
-        got = _canon(
-            extract_turns(rd.from_arrow(t), rd.from_arrow(p),
-                          child_join="cogroup")
-            .to_pandas()
-            .sort_values(["conv_id", "turn_idx"])
-            .reset_index(drop=True)
-        )
-        exp = _as_sorted_pdf(oracle_turns)
-        pd.testing.assert_frame_equal(got[exp.columns.tolist()], exp,
-                                      check_dtype=False)
-
-
 class TestAutoFallbackEquality:
-    """child_join='auto' must fall back to the cogroup path when the
+    """extract_turns must fall back to the cogroup path when the
     aggregated child table exceeds the broadcast bound — and still be
     byte-identical."""
 
@@ -144,7 +126,7 @@ class TestOverlappedPathEquality:
 class TestOverlappedBound:
     """The overlapped broadcast path must be BOUNDED: when parquet
     footer metadata says the child table exceeds the broadcast cap,
-    auto mode must re-route to the streaming cogroup join (never
+    extraction must re-route to the streaming cogroup join (never
     launching the partial-map tasks) and stay byte-identical."""
 
     def test_over_bound_reroutes_to_cogroup(self, tiny_fixture, oracle_turns,
@@ -314,55 +296,59 @@ class TestAssembly:
             frac=1.0, random_state=3)
         return rd.from_arrow(pa.Table.from_pandas(shuffled, preserve_index=False))
 
-    def test_salted_assembly_equals_oracle(self, pipeline_turns, oracle_turns):
-        from mistralocr_pdf2md_translator_ray.stages.assemble import assemble_conversations
+    def _docs(self, per_turn, hot, **kw):
+        from mistralocr_pdf2md_translator_ray.stages.assemble import (
+            assemble_conversations_hotaware,
+        )
 
-        docs = (
-            assemble_conversations(self._per_turn_ds(pipeline_turns), salt_span=16)
+        return (
+            assemble_conversations_hotaware(per_turn, hot, **kw)
             .to_pandas().sort_values("conv_id").reset_index(drop=True)
         )
+
+    def test_salted_assembly_equals_oracle(self, pipeline_turns, oracle_turns):
+        # every conversation hot: all of them take the two-phase path
+        hot = set(pipeline_turns["conv_id"])
+        docs = self._docs(self._per_turn_ds(pipeline_turns), hot, salt_span=16)
         exp = oracle_assemble(oracle_turns).to_pandas()
         pd.testing.assert_frame_equal(docs[exp.columns.tolist()], exp, check_dtype=False)
 
     def test_unsalted_matches_salted(self, pipeline_turns, oracle_turns):
-        from mistralocr_pdf2md_translator_ray.stages.assemble import assemble_conversations
-
-        a = (
-            assemble_conversations(self._per_turn_ds(pipeline_turns), salt_span=None)
-            .to_pandas().sort_values("conv_id").reset_index(drop=True)
-        )
+        # empty hot set: the single-phase path, equal to the oracle and
+        # to the all-hot two-phase documents
+        a = self._docs(self._per_turn_ds(pipeline_turns), set())
         exp = oracle_assemble(oracle_turns).to_pandas()
         pd.testing.assert_frame_equal(a[exp.columns.tolist()], exp, check_dtype=False)
+        salted = self._docs(self._per_turn_ds(pipeline_turns),
+                            set(pipeline_turns["conv_id"]), salt_span=16)
+        pd.testing.assert_frame_equal(a, salted)
 
     def test_adaptive_strategy_equals_oracle(self, pipeline_turns, oracle_turns):
-        from mistralocr_pdf2md_translator_ray.stages.assemble import (
-            assemble_conversations_adaptive,
+        from mistralocr_pdf2md_translator_ray.pipelines.extract_pipeline import (
+            _hot_conversations,
         )
 
-        # hot_threshold below the fixture's hot conversation size so the
-        # hot/salted path actually engages; materialized input satisfies
-        # the re-consumability contract
+        # the checkpointed job's composition: hot set counted on the
+        # re-readable per-turn rows, hot_threshold below the fixture's
+        # hot conversation size so the salted path actually engages
         per_turn = self._per_turn_ds(pipeline_turns).materialize()
-        a = (
-            assemble_conversations_adaptive(per_turn, hot_threshold=40,
-                                            salt_span=16)
-            .to_pandas().sort_values("conv_id").reset_index(drop=True)
-        )
+        hot = _hot_conversations(per_turn, 40)
+        assert hot and hot < set(pipeline_turns["conv_id"])
+        a = self._docs(per_turn, hot, salt_span=16)
         exp = oracle_assemble(oracle_turns).to_pandas()
         pd.testing.assert_frame_equal(a[exp.columns.tolist()], exp, check_dtype=False)
 
     def test_adaptive_no_hot_fallback(self, pipeline_turns, oracle_turns):
-        from mistralocr_pdf2md_translator_ray.stages.assemble import (
-            assemble_conversations_adaptive,
+        from mistralocr_pdf2md_translator_ray.pipelines.extract_pipeline import (
+            _hot_conversations,
         )
 
         # threshold above every conversation size -> empty hot set ->
-        # the unsalted fallback branch must run and still match
-        a = (
-            assemble_conversations_adaptive(
-                self._per_turn_ds(pipeline_turns), hot_threshold=10_000)
-            .to_pandas().sort_values("conv_id").reset_index(drop=True)
-        )
+        # the single-phase branch must run and still match
+        per_turn = self._per_turn_ds(pipeline_turns).materialize()
+        hot = _hot_conversations(per_turn, 10_000)
+        assert hot == set()
+        a = self._docs(per_turn, hot)
         exp = oracle_assemble(oracle_turns).to_pandas()
         pd.testing.assert_frame_equal(a[exp.columns.tolist()], exp, check_dtype=False)
 
@@ -393,27 +379,12 @@ class TestAssembly:
             pd.testing.assert_frame_equal(
                 a[exp.columns.tolist()], exp, check_dtype=False)
 
-    def test_sorted_strategy_equals_oracle(self, pipeline_turns, oracle_turns):
-        from mistralocr_pdf2md_translator_ray.stages.assemble import (
-            assemble_conversations_sorted,
-        )
-
-        # repartition to many tiny blocks so conversations straddle
-        # block boundaries and the fragment fixup actually exercises
-        a = (
-            assemble_conversations_sorted(
-                self._per_turn_ds(pipeline_turns).repartition(11))
-            .to_pandas().sort_values("conv_id").reset_index(drop=True)
-        )
-        exp = oracle_assemble(oracle_turns).to_pandas()
-        pd.testing.assert_frame_equal(a[exp.columns.tolist()], exp, check_dtype=False)
-
 
 class TestHotSplitDocuments:
-    """extract_documents' pre-extraction hot/cold split: hot detection
-    runs on the RAW conv_id column (turn counts are invariant under
-    extraction), each branch extracts its rows exactly once, and the
-    union must equal the single-phase composition byte-for-byte."""
+    """extract_documents' hot-aware assembly: hot detection runs on the
+    RAW conv_id column (turn counts are invariant under extraction),
+    extraction runs once, and every route must equal the oracle
+    documents byte-for-byte."""
 
     def _docs(self, t, p, **kw):
         from mistralocr_pdf2md_translator_ray.pipelines.extract_pipeline import (
@@ -426,18 +397,18 @@ class TestHotSplitDocuments:
             .to_pandas().sort_values("conv_id").reset_index(drop=True)
         )
 
-    def test_hot_split_equals_single_phase(self, tiny_fixture, ray_session):
+    def test_hot_split_equals_single_phase(self, tiny_fixture, oracle_turns,
+                                           ray_session):
         t, p = tiny_fixture
         # threshold below the fixture's ~100-turn hot conversation ->
-        # both branches non-empty
+        # both cold and hot conversations present
         split = self._docs(t, p, salt_span=16, hot_threshold=40)
-        base = self._docs(t, p, salt_span=None)
-        pd.testing.assert_frame_equal(
-            split[["conv_id", "n_turns", "doc_md"]],
-            base[["conv_id", "n_turns", "doc_md"]], check_dtype=False)
+        exp = oracle_assemble(oracle_turns).to_pandas()
+        pd.testing.assert_frame_equal(split[exp.columns.tolist()], exp,
+                                      check_dtype=False)
 
-    def test_hot_split_shared_child_refs(self, tiny_fixture, ray_session,
-                                         tmp_path):
+    def test_hot_split_shared_child_refs(self, tiny_fixture, oracle_turns,
+                                         ray_session, tmp_path):
         import pyarrow.parquet as pq
 
         from mistralocr_pdf2md_translator_ray.pipelines.extract_pipeline import (
@@ -453,45 +424,53 @@ class TestHotSplitDocuments:
                               emit_original=True)
             .to_pandas().sort_values("conv_id").reset_index(drop=True)
         )
-        base = self._docs(t, p, salt_span=None, emit_original=True)
-        pd.testing.assert_frame_equal(
-            split[["conv_id", "n_turns", "doc_md", "doc_md_original"]],
-            base[["conv_id", "n_turns", "doc_md", "doc_md_original"]],
-            check_dtype=False)
+        # no conversation reaches the default threshold: single phase
+        base = self._docs(t, p, emit_original=True)
+        cols = ["conv_id", "n_turns", "doc_md", "doc_md_original"]
+        pd.testing.assert_frame_equal(split[cols], base[cols],
+                                      check_dtype=False)
+        exp = oracle_assemble(oracle_turns).to_pandas()
+        pd.testing.assert_frame_equal(split[exp.columns.tolist()], exp,
+                                      check_dtype=False)
 
     def test_barrier_and_streaming_regimes_equal_sync(self, tiny_fixture,
-                                                      ray_session, tmp_path):
+                                                      oracle_turns,
+                                                      ray_session, tmp_path,
+                                                      monkeypatch):
         """transcripts_path enables the footer-gated size adaptivity:
-        below barrier_max_rows the materialize-barrier + adaptive path
-        runs; barrier_max_rows=0 forces the STREAMING path, whose hot
+        below BARRIER_ASSEMBLY_MAX_ROWS the materialize-barrier path
+        runs; the constant at 0 forces the STREAMING path, whose hot
         count is a PENDING overlapped-task ref (incl. the empty-ref
-        degenerate DAG at a huge threshold). All must equal the
-        unsalted oracle composition."""
+        degenerate DAG at a huge threshold). All must equal the oracle
+        documents, and the dual variant the single-phase one."""
         import pyarrow.parquet as pq
+
+        from mistralocr_pdf2md_translator_ray.pipelines import extract_pipeline as ep
 
         t, p = tiny_fixture
         t_path = str(tmp_path / "transcripts.parquet")
         pq.write_table(t, t_path)
-        base = self._docs(t, p, salt_span=None)
-        base_dual = self._docs(t, p, salt_span=None, emit_original=True)
-        for threshold, kw in [
-            (40, {}),                                   # barrier, hot
-            (10_000, {}),                               # barrier, no hot
-            (40, {"barrier_max_rows": 0}),              # streaming, hot (pending ref)
-            (10_000, {"barrier_max_rows": 0}),          # streaming, empty ref -> degenerate DAG
-            (40, {"emit_original": True}),
-            (40, {"emit_original": True, "barrier_max_rows": 0}),
+        exp = oracle_assemble(oracle_turns).to_pandas()
+        base_dual = self._docs(t, p, emit_original=True)
+        barrier_rows = ep.BARRIER_ASSEMBLY_MAX_ROWS
+        for threshold, streaming, dual in [
+            (40, False, False),       # barrier, hot
+            (10_000, False, False),   # barrier, no hot
+            (40, True, False),        # streaming, hot (pending ref)
+            (10_000, True, False),    # streaming, empty ref -> degenerate DAG
+            (40, False, True),
+            (40, True, True),
         ]:
+            monkeypatch.setattr(ep, "BARRIER_ASSEMBLY_MAX_ROWS",
+                                0 if streaming else barrier_rows)
             got = self._docs(t, p, salt_span=16, hot_threshold=threshold,
-                             transcripts_path=t_path, **kw)
-            if kw.get("emit_original"):
-                cols = ["conv_id", "n_turns", "doc_md", "doc_md_original"]
-                exp = base_dual
-            else:
-                cols = ["conv_id", "n_turns", "doc_md"]
-                exp = base
-            pd.testing.assert_frame_equal(got[cols], exp[cols],
+                             transcripts_path=t_path, emit_original=dual)
+            pd.testing.assert_frame_equal(got[exp.columns.tolist()], exp,
                                           check_dtype=False)
+            if dual:
+                cols = ["conv_id", "n_turns", "doc_md", "doc_md_original"]
+                pd.testing.assert_frame_equal(got[cols], base_dual[cols],
+                                              check_dtype=False)
 
     def test_hot_detection_matches_counts(self, tiny_fixture, ray_session):
         from mistralocr_pdf2md_translator_ray.pipelines.extract_pipeline import (
@@ -500,7 +479,7 @@ class TestHotSplitDocuments:
 
         t, _ = tiny_fixture
         sizes = pd.Series(t["conv_id"].to_pylist()).value_counts()
-        for threshold in (40, 10_000):
+        for threshold in (0, 40, 10_000):
             got = _hot_conversations(rd.from_arrow(t), threshold)
             assert got == set(sizes[sizes > threshold].index)
 
@@ -514,7 +493,7 @@ class TestHotSplitDocuments:
         )
 
         t, _ = tiny_fixture
-        for threshold in (1, 40, 10_000):
+        for threshold in (0, 1, 40, 10_000):
             fast = _hot_conversations(rd.from_arrow(t), threshold)
             slow = _hot_conversations(rd.from_arrow(t), threshold,
                                       driver_cap=0)
@@ -522,33 +501,43 @@ class TestHotSplitDocuments:
 
 
 class TestAdaptiveAssemblyDual:
-    def test_forced_hot_path_dual(self, tiny_fixture, ray_session):
-        """hot_threshold=0 pushes EVERY conversation through the salted
-        two-phase branch with include_original — the adaptive assembler
+    def test_forced_hot_path_dual(self, tiny_fixture, oracle_turns,
+                                  ray_session):
+        """An all-hot set pushes EVERY conversation through the salted
+        two-phase branch with include_original — the hot-aware assembler
         must still produce both variants byte-equal to the per-turn
-        joins."""
+        joins, the single-phase documents and the oracle."""
         from mistralocr_pdf2md_translator_ray.functions.scalars import PAGE_SEPARATOR
         from mistralocr_pdf2md_translator_ray.stages.assemble import (
-            assemble_conversations_adaptive,
+            assemble_conversations_hotaware,
         )
 
         t, p = tiny_fixture
         turns_ds = extract_turns(rd.from_arrow(t), rd.from_arrow(p),
-                                 emit_original=True)
+                                 emit_original=True).materialize()
         turns = turns_ds.to_pandas().sort_values(["conv_id", "turn_idx"])
         docs = (
-            assemble_conversations_adaptive(
-                turns_ds, hot_threshold=0, salt_span=4,
+            assemble_conversations_hotaware(
+                turns_ds, set(turns["conv_id"]), salt_span=4,
                 include_original=True)
             .to_pandas().sort_values("conv_id").reset_index(drop=True)
         )
         exp = turns.groupby("conv_id").agg(
+            n_turns=("md", "size"),
             doc_md=("md", PAGE_SEPARATOR.join),
             doc_md_original=("md_original", PAGE_SEPARATOR.join),
         ).reset_index()
-        pd.testing.assert_frame_equal(
-            docs[["conv_id", "doc_md", "doc_md_original"]], exp,
-            check_dtype=False)
+        cols = ["conv_id", "n_turns", "doc_md", "doc_md_original"]
+        pd.testing.assert_frame_equal(docs[cols], exp, check_dtype=False)
+        single = (
+            assemble_conversations_hotaware(turns_ds, set(),
+                                            include_original=True)
+            .to_pandas().sort_values("conv_id").reset_index(drop=True)
+        )
+        pd.testing.assert_frame_equal(docs[cols], single[cols])
+        oracle = oracle_assemble(oracle_turns).to_pandas()
+        pd.testing.assert_frame_equal(docs[oracle.columns.tolist()], oracle,
+                                      check_dtype=False)
 
 
 class TestPayloadFilesContract:

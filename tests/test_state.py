@@ -438,7 +438,7 @@ class TestDocsPhaseCrashSafety:
         pq.write_table(p, pp)
         out = str(tmp_path / "out")
 
-        run_extract_job(tp, pp, out, n_partitions=4, assemble=True, salt_span=None)
+        run_extract_job(tp, pp, out, n_partitions=4, assemble=True)
         docs_dir = os.path.join(out, "docs")
         clean = rd.read_parquet(docs_dir).to_pandas().sort_values(
             "conv_id").reset_index(drop=True)
@@ -449,7 +449,7 @@ class TestDocsPhaseCrashSafety:
         shutil.copyfile(os.path.join(docs_dir, files[0]),
                         os.path.join(docs_dir, "leftover_partial.parquet"))
 
-        run_extract_job(tp, pp, out, n_partitions=4, assemble=True, salt_span=None)
+        run_extract_job(tp, pp, out, n_partitions=4, assemble=True)
         rerun = rd.read_parquet(docs_dir).to_pandas().sort_values(
             "conv_id").reset_index(drop=True)
         pd.testing.assert_frame_equal(rerun, clean)  # no duplicated convs
