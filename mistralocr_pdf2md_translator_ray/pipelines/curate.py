@@ -78,10 +78,17 @@ def _stage_fingerprint(stage_dir: str) -> str:
     what is actually on disk (written post-readback). Deterministic for
     unchanged content, perturbed by any rewrite — the downstream
     ``input_fragment`` that makes cross-stage invalidation content-
-    driven rather than existence-driven."""
+    driven rather than existence-driven. A finished stage without a
+    manifest predates per-partition lineage and cannot be trusted."""
     import hashlib
 
-    with open(os.path.join(stage_dir, "_lineage.json"), "rb") as f:
+    path = os.path.join(stage_dir, "_lineage.json")
+    if not os.path.exists(path):
+        out_dir = os.path.dirname(os.path.abspath(stage_dir))
+        raise RuntimeError(
+            f"old-format checkpoint: stage {stage_dir} is marked done but "
+            f"has no _lineage.json — delete {out_dir} and rerun")
+    with open(path, "rb") as f:
         return hashlib.blake2b(f.read(), digest_size=8).hexdigest()
 
 

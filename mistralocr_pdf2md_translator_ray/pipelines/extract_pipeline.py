@@ -7,19 +7,23 @@ payloads back in by one of two joins, chosen by the child-table size
 
     broadcast (child table fits):
     read_parquet(transcripts)                         # S1
-      -> payloads -> child map, ray.put once          # M3/ST5 + A1 regroup
+      -> payloads -> child map, one object-store ref  # M3/ST5 + A1 regroup
       -> map_batches(extract+splice+normalize)        # M1 + J1 + M6 + M12
 
     co-group (child table too big to broadcast):
     read_parquet(transcripts)                         # S1
       [placeholder-bearing turns only]
-      -> map_batches(TurnExtractor, actor pool)       # M1 doc extraction
-      -> payloads -> map_batches(ChildExtractor)      # M3/ST5 child extraction
+      -> map_batches(extract_raw_md)                  # M1 doc extraction
+      -> payloads -> map_batches(extract_children)    # M3/ST5 child extraction
       -> bucketed co-group with parents (left outer)  # A1 regroup + J1 join
       -> map_batches(finalize: splice+normalize)      # M6 + M12
       [placeholder-free turns]
-      -> map_batches(TurnExtractor) -> finalize       # M1 + M12
+      -> map_batches(extract+normalize)               # M1 + M12
       -> union                                        # per-turn output
+
+Every map is a stateless function run as Ray Data tasks; extraction
+starts no actor pools. The broadcast map reaches the tasks as one
+ObjectRef, fetched once per worker process (``stages/extract.py``).
 
 ``extract_documents`` then assembles one document per conversation
 with ``assemble_conversations_hotaware`` (A2 ordered concat), salting
@@ -27,7 +31,7 @@ only the conversations longer than ``hot_threshold`` turns.
 
 Scale notes: on the co-group route only the ~10-15% of turns that
 actually carry placeholders enter the join shuffle; everything else
-streams straight through stateless/actor map stages. The child table
+streams straight through stateless map stages. The child table
 is pre-reduced to one row per (conv_id, turn_idx) inside each bucket,
 so the merge is bounded by distinct placeholder-bearing turns, not
 payload count.
@@ -43,14 +47,11 @@ import ray.data as rd
 from ..stages.extract import (
     CHILD_SCHEMA,
     PARENT_SCHEMA,
-    ChildExtractor,
-    ExtractFinalizeBroadcast,
-    TurnExtractor,
     build_child_rows,
-    finalize_plain,
-    finalize_plain_dual,
+    extract_children,
+    extract_finalize,
+    extract_raw_md,
     finalize_with_children,
-    finalize_with_children_dual,
     merge_children_into_parents,
 )
 from ..stages.joins import cogroup
@@ -151,112 +152,78 @@ def _filter_conv_partitions(payloads: "rd.Dataset", conv_filter) -> "rd.Dataset"
     return payloads.map_batches(fn, batch_format="pyarrow")
 
 
+@ray.remote
+def _child_partial(shard: list[str], conv_filter) -> dict:
+    """One shard's child partial map {(conv, turn): {payload_id:
+    extracted}}."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from ..functions.extract import extract_child_payload
+    from ..functions.hashing import crc32_part_ids
+
+    out: dict = {}
+    for f in shard:
+        t = pq.read_table(
+            f, columns=["conv_id", "turn_idx", "payload_id", "kind", "payload"]
+        )
+        if conv_filter is not None:
+            part_ids, n_parts = conv_filter
+            want = np.fromiter(sorted(part_ids), dtype=np.int64,
+                               count=len(part_ids))
+            pids = crc32_part_ids(t["conv_id"], n_parts)
+            t = t.filter(pa.array(np.isin(pids, want)))
+        for conv, turn, pid, kind, blob in zip(
+            t["conv_id"].to_pylist(), t["turn_idx"].to_pylist(),
+            t["payload_id"].to_pylist(), t["kind"].to_pylist(),
+            t["payload"].to_pylist(),
+        ):
+            extracted, _status = extract_child_payload(blob, pid, kind)
+            out.setdefault((conv, turn), {})[pid] = extracted
+    return out
+
+
 def _child_partial_refs(files: list[str], conv_filter=None):
-    """Launch raw Ray tasks computing per-shard child partial maps
-    {(conv, turn): {payload_id: extracted}}; returns pending refs.
+    """Launch raw Ray tasks computing per-shard child partial maps;
+    returns pending refs.
 
     ``conv_filter`` is an optional ``(part_ids:set, n_partitions:int)``
     restricting extraction to conversations hashing into those
     partitions (resume path: don't re-extract children for completed
     partitions)."""
-    import ray
-
     cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
     k = max(1, min(len(files), cpus))
-    shards = [files[i::k] for i in range(k)]
-
-    @ray.remote
-    def _partial(shard: list[str]) -> dict:
-        import numpy as np
-        import pyarrow as _pa
-        import pyarrow.parquet as pq
-
-        from ..functions.extract import extract_child_payload
-        from ..functions.hashing import crc32_part_ids
-
-        out: dict = {}
-        for f in shard:
-            t = pq.read_table(
-                f, columns=["conv_id", "turn_idx", "payload_id", "kind", "payload"]
-            )
-            if conv_filter is not None:
-                part_ids, n_parts = conv_filter
-                want = np.fromiter(sorted(part_ids), dtype=np.int64,
-                                   count=len(part_ids))
-                pids = crc32_part_ids(t["conv_id"], n_parts)
-                t = t.filter(_pa.array(np.isin(pids, want)))
-            for conv, turn, pid, kind, blob in zip(
-                t["conv_id"].to_pylist(), t["turn_idx"].to_pylist(),
-                t["payload_id"].to_pylist(), t["kind"].to_pylist(),
-                t["payload"].to_pylist(),
-            ):
-                extracted, _status = extract_child_payload(blob, pid, kind)
-                out.setdefault((conv, turn), {})[pid] = extracted
-        return out
-
-    return [_partial.remote(s) for s in shards]
+    return [_child_partial.remote(files[i::k], conv_filter) for i in range(k)]
 
 
-def _broadcast_pipeline(transcripts, plain_pool: dict, ctor_kwargs: dict):
-    """Single fused extract+splice+normalize actor pool (the broadcast
-    join's streaming side)."""
-    import ray as _ray
+@ray.remote
+def _merge_child_partials(*partials: dict) -> dict:
+    """Merge the per-shard partials into the one broadcast child map.
+    They arrive as top-level arguments, so the scheduler resolves them
+    before this task takes a CPU: no worker holds a core while it waits
+    for them."""
+    cmap: dict = {}
+    for part in partials:
+        for k, v in part.items():
+            cmap.setdefault(k, {}).update(v)
+    return cmap
 
-    cpus = int(_ray.cluster_resources().get("CPU", 8))
-    solo_pool = dict(plain_pool)
-    if cpus >= 16:
-        # 3/4 of cores — the invariant ceiling (tasks keep 1/4). Swept
-        # 20/22/24 at 32 CPUs over 9 interleaved runs: 24 best
-        # (22.6-25.2s) vs 20 (23.5-26.0s); reads finish early and the
-        # write tasks are light, so the fused stage can own more cores.
-        solo_pool["concurrency"] = max(1, (cpus * 3) // 4)
-    elif cpus >= 6:
-        solo_pool["concurrency"] = max(1, cpus // 2)
+
+def _extract_finalize(transcripts: "ray.data.Dataset", cmap_ref,
+                      emit_original: bool) -> "ray.data.Dataset":
+    """The fused extract+splice+normalize map as stateless tasks; every
+    task fetches the child map behind ``cmap_ref`` (which may still be
+    pending) once per worker process."""
+    from ..stages.registry import get_registry
+
     # larger batches amortize the Arrow<->Python conversion (measured
     # +12% at 4096 vs 1024 on ~1-2KB turns); for corpora with very wide
-    # turns lower this so batch bytes x pool size fits worker heaps
-    solo_pool["batch_size"] = 4096
+    # turns lower this so batch bytes x tasks in flight fit worker heaps
     return transcripts.map_batches(
-        ExtractFinalizeBroadcast,
-        batch_format="pyarrow",
-        fn_constructor_kwargs=ctor_kwargs,
-        **solo_pool,
-    )
-
-
-def _pools() -> tuple[dict, dict, dict]:
-    """Actor-pool sizing scaled to the cluster.
-
-    Three pools coexist with the task-based stages (read, route,
-    finalize, shuffle, write), so their max sizes must sum to well
-    under the CPU count — pools that reserve every core starve the
-    tasks and serialize the pipeline (observed: 2.3x slowdown).
-    Sizing is asymmetric: ~88%% of turns are placeholder-free and go
-    through the plain pool; the placeholder branch and the child
-    extractor see ~12%% of rows each. Min 1 everywhere so tiny CPU
-    budgets (tests) never deadlock.
-    """
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    if cpus >= 16:
-        # Fixed pool sizes: autoscaling (1,N) pools ramp up too slowly
-        # and leave the stage under-provisioned for most of the run
-        # (measured 16s -> 9s on the bench corpus). 3/4 of cores go to
-        # the pools, 1/4 stays free for the task-based stages.
-        plain = dict(concurrency=cpus // 2, batch_size=1024, num_cpus=1)
-        with_ph = dict(concurrency=cpus // 8, batch_size=1024, num_cpus=1)
-        child = dict(concurrency=cpus // 8, batch_size=1024, num_cpus=1)
-    else:
-        # Small budgets (tests): min-1 autoscaling so three pools plus
-        # shuffle tasks coexist without reservation deadlock.
-        plain = dict(concurrency=(1, max(2, (cpus * 3) // 8)), batch_size=1024,
-                     num_cpus=1)
-        with_ph = dict(concurrency=(1, max(1, cpus // 8)), batch_size=1024,
-                       num_cpus=1)
-        child = dict(concurrency=(1, max(1, cpus // 8)), batch_size=1024,
-                     num_cpus=1)
-    return with_ph, plain, child
+        extract_finalize, batch_format="pyarrow", batch_size=4096,
+        fn_kwargs={"cmap_ref": cmap_ref, "extra_extractors": get_registry(),
+                   "emit_original": emit_original})
 
 
 BROADCAST_CHILD_MAX_ROWS = 2_000_000
@@ -275,25 +242,22 @@ def extract_turns(
     Child-splice join strategy:
 
     - **broadcast** (child table <= BROADCAST_CHILD_MAX_ROWS): the
-      child results ride the object store once (``ray.put``) and every
-      finalize task probes the map locally. One extraction branch,
-      zero shuffles — the two-branch union + sort barrier otherwise
+      child results ride the object store once as one map and every
+      extraction task probes it locally. One extraction branch, zero
+      shuffles — the two-branch union + sort barrier otherwise
       serializes the pipeline (measured 2x wall on the bench corpus).
     - **cogroup** (when the child side is too big to broadcast):
       pre-split on placeholder presence; only the ~12%% of turns that
       carry placeholders enter the bucketed co-group shuffle
       (stages/joins.py).
+
+    Every map runs as stateless Ray Data tasks (no actor pools).
     """
     from ..stages.registry import get_registry
 
-    with_ph_pool, plain_pool, child_pool = _pools()
-    ctor = {"fn_constructor_kwargs": {"extra_extractors": get_registry()}}
-    fin_children = finalize_with_children_dual if emit_original else finalize_with_children
-    fin_plain = finalize_plain_dual if emit_original else finalize_plain
-
     # One map task per input BLOCK: a read of few large single-row-group
-    # files yields fewer blocks than extraction actors and starves the
-    # pool (8 files / 24 actors ran at 1/4 throughput).
+    # files yields fewer blocks than CPUs and starves the extraction
+    # (8 files on a 24-actor extraction pool ran at 1/4 throughput).
     # target_num_rows_per_block splits only blocks LARGER than the
     # target — minimal movement, a pass-through for already-fine inputs
     # (the 48-shard headline A/B'd flat) — and every join strategy
@@ -303,32 +267,32 @@ def extract_turns(
     children = None
     if payloads_path is not None:
         # Overlapped broadcast path: child partial maps are computed by
-        # raw Ray TASKS over the payload parquet shards (the Dataset API
-        # cannot express "start the main stream now, block the splice
-        # actors on a still-running side computation"); each fused
-        # actor awaits the partial refs in __init__ while the main
-        # pipeline's read stages already stream.
+        # raw Ray TASKS over the payload parquet shards, and one merge
+        # task combines them into a single pending ref (the Dataset API
+        # cannot express "start the main stream now, wait on a
+        # still-running side computation"). The extraction tasks block
+        # in ray.get on that ref — giving up their CPU meanwhile —
+        # while the main pipeline's read stages already stream.
         #
         # The broadcast is BOUNDED: total child rows come from parquet
         # footer metadata (no data read); past BROADCAST_CHILD_MAX_ROWS
-        # the merged per-actor map would not fit worker heaps at scale,
-        # so it re-routes to the streaming cogroup join instead
+        # the merged per-process map would not fit worker heaps at
+        # scale, so it re-routes to the streaming cogroup join instead
         # (byte-identical output — TestOverlappedBound).
         files = _payload_files(payloads_path)
         if files:
             if _parquet_meta_rows(files) <= BROADCAST_CHILD_MAX_ROWS:
                 refs = _child_partial_refs(files, conv_filter=conv_filter)
-                return _broadcast_pipeline(
-                    transcripts, plain_pool,
-                    {"cmap_refs": refs, "extra_extractors": get_registry(),
-                     "emit_original": emit_original})
+                return _extract_finalize(
+                    transcripts, _merge_child_partials.remote(*refs),
+                    emit_original)
             payloads = rd.read_parquet(files)
             if conv_filter is not None:
                 payloads = _filter_conv_partitions(payloads, conv_filter)
             # the footers already rule the broadcast out: child
             # extraction streams straight into the co-group
-            children = payloads.map_batches(
-                ChildExtractor, batch_format="pyarrow", **child_pool)
+            children = payloads.map_batches(extract_children,
+                                            batch_format="pyarrow")
         else:
             # No top-level local parquet files (remote URI, nested
             # layout, or caller passed a Dataset alongside the path):
@@ -339,28 +303,16 @@ def extract_turns(
                 payloads = _filter_conv_partitions(payloads, conv_filter)
 
     if payloads is None:
-        return transcripts.map_batches(
-            TurnExtractor, batch_format="pyarrow", **plain_pool, **ctor
-        ).map_batches(fin_plain, batch_format="pyarrow")
+        return _extract_finalize(transcripts, None, emit_original)
 
     if children is None:
         # The child phase runs to completion BEFORE the main pass (its
-        # result is the broadcast map), so nothing competes for cores:
-        # give it half the cluster instead of the steady-state slice.
-        import ray as _r
-
-        cpus = int(_r.cluster_resources().get("CPU", 8))
-        burst_pool = dict(child_pool, concurrency=max(2, cpus // 2))
-        child_mat = payloads.map_batches(
-            ChildExtractor, batch_format="pyarrow", **burst_pool
-        ).materialize()
-        n_children = child_mat.count()
-        if n_children <= BROADCAST_CHILD_MAX_ROWS:
-            cmap_ref = _broadcast_child_map(child_mat)
-            return _broadcast_pipeline(
-                transcripts, plain_pool,
-                {"cmap_ref": cmap_ref, "extra_extractors": get_registry(),
-                 "emit_original": emit_original})
+        # result is the broadcast map).
+        child_mat = payloads.map_batches(extract_children,
+                                         batch_format="pyarrow").materialize()
+        if child_mat.count() <= BROADCAST_CHILD_MAX_ROWS:
+            return _extract_finalize(
+                transcripts, _broadcast_child_map(child_mat), emit_original)
         children = child_mat  # too big to broadcast; reuse for cogroup
 
     # Pre-split on the *input* text so each branch extracts its rows
@@ -375,10 +327,10 @@ def extract_turns(
 
     with_ph = transcripts.map_batches(
         lambda b: _route(b, True), batch_format="pyarrow"
-    ).map_batches(TurnExtractor, batch_format="pyarrow", **with_ph_pool, **ctor)
+    ).map_batches(extract_raw_md, batch_format="pyarrow",
+                  fn_kwargs={"extra_extractors": get_registry()})
     plain = transcripts.map_batches(
-        lambda b: _route(b, False), batch_format="pyarrow"
-    ).map_batches(TurnExtractor, batch_format="pyarrow", **plain_pool, **ctor)
+        lambda b: _route(b, False), batch_format="pyarrow")
 
     # Bucketed co-group join on (conv_id, turn_idx) — one shuffle with
     # ~num_buckets groups; the child aggregation (A1 regroup) and the
@@ -394,9 +346,9 @@ def extract_turns(
         right_schema=CHILD_SCHEMA,
         num_buckets=64,
     )
-    spliced = joined.map_batches(fin_children, batch_format="pyarrow")
-    plain_out = plain.map_batches(fin_plain, batch_format="pyarrow")
-    return spliced.union(plain_out)
+    spliced = joined.map_batches(finalize_with_children, batch_format="pyarrow",
+                                 fn_kwargs={"emit_original": emit_original})
+    return spliced.union(_extract_finalize(plain, None, emit_original))
 
 
 def _hot_conversations(transcripts: "ray.data.Dataset",
@@ -523,11 +475,13 @@ def _hot_conversations_from_files(files: list[str], threshold: int):
 #: extract_documents inserts an explicit materialize barrier between
 #: extraction and the assembly shuffle. Measured (243k turns, 32 CPUs,
 #: interleaved): barrier 13.1 s vs streaming 17.5 s — the all-to-all
-#: starves while the extraction actor pool still holds 3/4 of the
-#: cores, and Ray's sort-based shuffle holds the whole input in the
-#: object store ANYWAY, so below the cap the barrier only adds one
+#: starved while the extraction actor pool of that time held 3/4 of
+#: the cores, and Ray's sort-based shuffle holds the whole input in
+#: the object store ANYWAY, so below the cap the barrier only adds one
 #: bounded extra pass. Past the cap the stream goes straight into the
 #: shuffle so the corpus is never held twice (the 100-TB shape).
+#: That measurement predates pool-free extraction; the gate stays
+#: until both regimes are measured again.
 BARRIER_ASSEMBLY_MAX_ROWS = 2_000_000
 
 
@@ -561,9 +515,9 @@ def extract_documents(
     over the transcript files, and the parquet footer row count picks
     the size regime (``BARRIER_ASSEMBLY_MAX_ROWS``, read at call time):
     bounded inputs take an explicit materialize BARRIER between
-    extraction and the assembly shuffle — extraction runs with its full
-    actor pool, then the all-to-all gets the whole cluster (measurement
-    at the constant). Larger inputs STREAM into the one hot-aware
+    extraction and the assembly shuffle — extraction runs first, then
+    the all-to-all gets the whole cluster (measurement at the
+    constant). Larger inputs STREAM into the one hot-aware
     shuffle without ever being held twice, the assembly closures
     resolving the pending hot count at their first batch.
 
@@ -585,8 +539,8 @@ def extract_documents(
         # reads, no Ray Data fixed costs); both regimes share it.
         hot_ref = _hot_conversations_from_files(files, hot_threshold)
         if _parquet_meta_rows(files) <= BARRIER_ASSEMBLY_MAX_ROWS:
-            # BARRIER regime: extraction runs with its full actor pool,
-            # then the assembly shuffle gets the whole cluster. The
+            # BARRIER regime: extraction runs to completion, then the
+            # assembly shuffle gets the whole cluster. The
             # count overlaps the materialize barrier; the get() after
             # it is ~free, and the empty-hot single-phase shortcut
             # stays reachable.

@@ -1,15 +1,15 @@
 from .extract import (
-    TurnExtractor,
-    ChildExtractor,
+    extract_raw_md,
+    extract_children,
+    extract_finalize,
     finalize_with_children,
-    finalize_plain,
 )
 from .assemble import assemble_conversations_hotaware
 
 __all__ = [
-    "TurnExtractor",
-    "ChildExtractor",
+    "extract_raw_md",
+    "extract_children",
+    "extract_finalize",
     "finalize_with_children",
-    "finalize_plain",
     "assemble_conversations_hotaware",
 ]

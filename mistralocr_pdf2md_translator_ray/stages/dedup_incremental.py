@@ -229,19 +229,28 @@ def _save_meta_atomic(index_dir: str, meta: dict) -> None:
 _FOLDING = "_folding.json"
 
 
-def _fold_guard_check(index_dir: str, input_path: str) -> None:
+def _fold_guard_check(index_dir: str, input_path: str,
+                      indexed_paths: list) -> None:
     """The fold updates bands/labels/kept/meta — each crash-safe alone,
     but consistent ACROSS artifacts only if a crashed fold is retried
     with the SAME increment (the retry reconverges: the star-edge
     union is idempotent). Enforce that: any query against an index
     with a pending fold of a DIFFERENT input is refused — otherwise
     the half-folded increment's cluster merges (already in labels)
-    would silently pollute this call's kept set."""
+    would silently pollute this call's kept set.
+
+    A guard naming a path that meta already lists (``indexed_paths``)
+    is stale: meta is written LAST, so that fold finished and only the
+    guard's removal was lost. It is cleared, not enforced — else the
+    finished increment is refused as a duplicate and every other one
+    as an incomplete fold, wedging the index."""
     path = os.path.join(index_dir, _FOLDING)
     if os.path.exists(path):
         with open(path) as f:
             pending = json.load(f)
-        if pending.get("input_path") != input_path:
+        if pending.get("input_path") in indexed_paths:
+            _fold_guard_exit(index_dir)
+        elif pending.get("input_path") != input_path:
             raise RuntimeError(
                 f"index {index_dir} has an incomplete fold of "
                 f"{pending.get('input_path')!r} (tag {pending.get('tag')}) "
@@ -433,6 +442,7 @@ def dedup_minhash_incremental(new_dir: str, index_dir: str,
     num_parts = meta["num_band_parts"]
     new_doc_path = os.path.abspath(
         os.path.join(new_dir, "documents.parquet"))
+    _fold_guard_check(index_dir, new_doc_path, meta["doc_paths"])
     if new_doc_path in meta["doc_paths"]:
         raise ValueError(f"{new_doc_path} is already in the index")
 
@@ -440,7 +450,6 @@ def dedup_minhash_incremental(new_dir: str, index_dir: str,
     # is the increment ordinal (stable across retries — meta is written
     # LAST), and its partial band files must not be probed as "old"
     tag = f"inc{len(meta['doc_paths']):05d}"
-    _fold_guard_check(index_dir, new_doc_path)
     _purge_tagged(os.path.join(index_dir, "bands"), tag)
 
     new_docs = _read_docs(new_dir)
@@ -840,6 +849,7 @@ def neardup_embedding_incremental(new_dir: str, index_dir: str,
     planes = np.load(planes_path)
     new_emb_path = os.path.abspath(
         os.path.join(new_dir, "embeddings.parquet"))
+    _fold_guard_check(index_dir, new_emb_path, meta["emb_paths"])
     if new_emb_path in meta["emb_paths"]:
         raise ValueError(f"{new_emb_path} is already in the index")
     dim = _embedding_dim(new_emb_path)
@@ -848,7 +858,6 @@ def neardup_embedding_incremental(new_dir: str, index_dir: str,
             f"embedding dim {dim} != indexed dim {planes.shape[1]}")
 
     tag = f"inc{len(meta['emb_paths']):05d}"
-    _fold_guard_check(index_dir, new_emb_path)
     _purge_tagged(os.path.join(index_dir, "bands"), tag)
 
     new_bands = _embedding_band_rows(new_emb_path, planes).materialize()

@@ -1,12 +1,13 @@
 """Ray Data stages for the flagship extraction pipeline.
 
-Actor-pool callable classes (state — compiled parsers/regex tables —
-built once per actor in ``__init__``, replacing the reference's
-process-global API clients, ``mistralocr_app.py:775-800``) plus the
-stateless finalize batch UDFs. All stages are Arrow-in/Arrow-out
-(``batch_format="pyarrow"``); the per-string kernel work is inherently
-scalar, but columns are materialized once per batch and rebuilt as
-single Arrow arrays (no per-row Dataset ops).
+Stateless batch functions, run as Ray Data tasks. The reference keeps
+its OCR/LLM clients process-global (``mistralocr_app.py:775-800``);
+here the per-process state is only the compiled kernels (bound when
+``functions/`` is imported) and the broadcast child map, which
+``_child_map`` fetches once per worker process. All stages are
+Arrow-in/Arrow-out (``batch_format="pyarrow"``); the per-string kernel
+work is inherently scalar, but columns are materialized once per batch
+and rebuilt as single Arrow arrays (no per-row Dataset ops).
 """
 
 from __future__ import annotations
@@ -21,59 +22,49 @@ from ..functions.scalars import splice_children
 from ..functions.textstats import token_count
 
 
-class TurnExtractor:
+def _extract(batch: pa.Table, extra_extractors) -> tuple[list, list, list]:
+    """``extract_turn`` over the batch's ``text``/``tool`` columns:
+    raw Markdown, status and error per row. ``extra_extractors`` is the
+    snapshot of the extractor registry taken when the pipeline was built
+    (stages/registry.py)."""
+    extra = extra_extractors or {}
+    raws, statuses, errors = [], [], []
+    for text, tool in zip(batch["text"].to_pylist(), batch["tool"].to_pylist()):
+        raw, status, err = extract_turn(text, tool, extra)
+        raws.append(raw)
+        statuses.append(status)
+        errors.append(err)
+    return raws, statuses, errors
+
+
+def extract_raw_md(batch: pa.Table, extra_extractors=None) -> pa.Table:
     """Per-turn extraction: route by ``tool`` and extract raw Markdown.
 
     Output adds ``raw_md:string status:string error:string`` to the
-    input columns.
-    """
-
-    def __init__(self, extra_extractors=None) -> None:
-        # Per-actor state: bind the compiled kernels once (the module
-        # import compiles every regex; holding refs here pins them) and
-        # snapshot the driver's extractor registry (stages/registry.py)
-        # — serialized into each actor like the reference's
-        # process-global clients.
-        self._extract = extract_turn
-        self._extra = extra_extractors or {}
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch["text"].to_pylist()
-        tools = batch["tool"].to_pylist()
-        raw_mds, statuses, errors = [], [], []
-        for text, tool in zip(texts, tools):
-            raw, status, err = self._extract(text, tool, self._extra)
-            raw_mds.append(raw)
-            statuses.append(status)
-            errors.append(err)
-        return (
-            batch.append_column("raw_md", pa.array(raw_mds, pa.string()))
-            .append_column("status", pa.array(statuses, pa.string()))
-            .append_column("error", pa.array(errors, pa.string()))
-        )
+    input columns."""
+    raws, statuses, errors = _extract(batch, extra_extractors)
+    return (
+        batch.append_column("raw_md", pa.array(raws, pa.string()))
+        .append_column("status", pa.array(statuses, pa.string()))
+        .append_column("error", pa.array(errors, pa.string()))
+    )
 
 
-class ChildExtractor:
+def extract_children(batch: pa.Table) -> pa.Table:
     """Per-payload structuring (ST5 analog): payload bytes ->
     ``extracted`` pretty-JSON + ``child_status``."""
-
-    def __init__(self) -> None:
-        self._extract = extract_child_payload
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch["payload"].to_pylist()
-        pids = batch["payload_id"].to_pylist()
-        kinds = batch["kind"].to_pylist()
-        extracted, statuses = [], []
-        for blob, pid, kind in zip(payloads, pids, kinds):
-            s, st = self._extract(blob, pid, kind)
-            extracted.append(s)
-            statuses.append(st)
-        return (
-            batch.select(["conv_id", "turn_idx", "payload_id"])
-            .append_column("extracted", pa.array(extracted, pa.string()))
-            .append_column("child_status", pa.array(statuses, pa.string()))
-        )
+    extracted, statuses = [], []
+    for blob, pid, kind in zip(batch["payload"].to_pylist(),
+                               batch["payload_id"].to_pylist(),
+                               batch["kind"].to_pylist()):
+        s, st = extract_child_payload(blob, pid, kind)
+        extracted.append(s)
+        statuses.append(st)
+    return (
+        batch.select(["conv_id", "turn_idx", "payload_id"])
+        .append_column("extracted", pa.array(extracted, pa.string()))
+        .append_column("child_status", pa.array(statuses, pa.string()))
+    )
 
 
 _OUT_COLS = ["conv_id", "turn_idx", "role", "tool", "ts", "md", "spans",
@@ -84,14 +75,18 @@ SPANS_TYPE = pa.list_(
 )
 
 
-def _finalize(batch: pa.Table, children_col: bool,
-              emit_original: bool = False) -> pa.Table:
-    raws = batch["raw_md"].to_pylist()
-    ch = batch["children_json"].to_pylist() if children_col else [None] * len(raws)
+def _finish(batch: pa.Table, raws: list, children, emit_original: bool
+            ) -> pa.Table:
+    """Splice each turn's children below their placeholders (J1+M6),
+    normalize (M12 analog) and count tokens. ``children`` holds one
+    entry per row: a ``{payload_id: extracted}`` dict, its JSON string,
+    or anything falsy / NaN (no children)."""
     mds, origs, spans, ntoks = [], [], [], []
-    for raw, cj in zip(raws, ch):
-        if isinstance(cj, str) and cj:  # guard NaN/None from the left join
-            raw = splice_children(raw, json.loads(cj))
+    for raw, cj in zip(raws, children):
+        if isinstance(cj, str) and cj:
+            cj = json.loads(cj)
+        if isinstance(cj, dict) and cj:  # guards NaN/None from the left join
+            raw = splice_children(raw, cj)
         md = normalize_markdown(raw)
         mds.append(md)
         if emit_original:
@@ -113,26 +108,18 @@ def _finalize(batch: pa.Table, children_col: bool,
     return out.select(_OUT_COLS)
 
 
-def finalize_with_children(batch: pa.Table) -> pa.Table:
-    """Splice child results below their placeholders (J1+M6), then
-    normalize (M12 analog)."""
-    return _finalize(batch, children_col=True)
-
-
-def finalize_with_children_dual(batch: pa.Table) -> pa.Table:
-    return _finalize(batch, children_col=True, emit_original=True)
-
-
-def finalize_plain_dual(batch: pa.Table) -> pa.Table:
-    return _finalize(batch, children_col=False, emit_original=True)
+def finalize_with_children(batch: pa.Table,
+                           emit_original: bool = False) -> pa.Table:
+    """Co-group route's last step: splice the joined ``children_json``
+    into ``raw_md``, then normalize."""
+    return _finish(batch, batch["raw_md"].to_pylist(),
+                   batch["children_json"].to_pylist(), emit_original)
 
 
 def build_child_rows(child_df):
     """Reduce child rows to one (conv_id, turn_idx, children_json) row
     per turn — the deterministic JSON map the cogroup merge builds;
     runs inside cluster buckets for the broadcast join's small side."""
-    import pandas as pd
-
     child_df = child_df.sort_values(["conv_id", "turn_idx", "payload_id"],
                                     kind="mergesort")
     agg = (
@@ -146,70 +133,46 @@ def build_child_rows(child_df):
     return agg[["conv_id", "turn_idx", "children_json"]]
 
 
-class ExtractFinalizeBroadcast:
-    """Fused single-pass stage for the broadcast-join path: extract ->
-    splice (children from the broadcast map) -> normalize -> token
-    count, one Arrow->Python->Arrow round-trip per batch. The split
-    extract/finalize pair paid that conversion twice over every turn's
-    text (~2x total CPU at bench scale).
+#: (ObjectRef hex, child map) of the last map this worker process
+#: fetched. One entry: each ``extract_turns`` call brings a new ref, so
+#: a new call evicts the old map instead of serving it.
+_CHILD_MAP_CACHE: tuple = (None, {})
 
-    Actor pool: the child map is fetched once per actor in __init__
-    (zero-copy plasma read + one deserialize), like the reference's
-    process-global clients. ``cmap_refs`` may be a list of PENDING
-    partial-map ObjectRefs (the overlapped path: raw Ray tasks compute
-    child partials while this pipeline's read stages already stream;
-    each actor blocks here only until the partials land)."""
 
-    def __init__(self, cmap_ref=None, cmap_refs=None, extra_extractors=None,
-                 emit_original: bool = False) -> None:
+def _child_map(cmap_ref) -> dict:
+    """The broadcast child map behind ``cmap_ref`` (``None``: empty),
+    fetched and deserialized once per worker process rather than once
+    per batch. The ref may still be pending: a task blocked in
+    ``ray.get`` gives up its CPU, so the tasks that compute the map
+    run even on a one-CPU session."""
+    global _CHILD_MAP_CACHE
+    if cmap_ref is None:
+        return {}
+    key = cmap_ref.hex()
+    cached_key, cmap = _CHILD_MAP_CACHE
+    if cached_key != key:
         import ray
 
-        if cmap_refs is not None:
-            cmap: dict = {}
-            for part in ray.get(list(cmap_refs)):
-                for k, v in part.items():
-                    cmap.setdefault(k, {}).update(v)
-            self._cmap = cmap
-        else:
-            self._cmap = ray.get(cmap_ref) if cmap_ref is not None else {}
-        self._extra = extra_extractors or {}
-        self._emit_original = emit_original
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch["text"].to_pylist()
-        tools = batch["tool"].to_pylist()
-        convs = batch["conv_id"].to_pylist()
-        turns = batch["turn_idx"].to_pylist()
-        mds, origs, spans, ntoks, statuses, errors = [], [], [], [], [], []
-        for text, tool, conv, turn in zip(texts, tools, convs, turns):
-            raw, status, err = extract_turn(text, tool, self._extra)
-            cj = self._cmap.get((conv, turn))
-            if cj:
-                raw = splice_children(raw, json.loads(cj) if isinstance(cj, str) else cj)
-            md = normalize_markdown(raw)
-            mds.append(md)
-            if self._emit_original:
-                origs.append(raw)
-            spans.append(md_spans(md))
-            ntoks.append(token_count(md))
-            statuses.append(status)
-            errors.append(err)
-        out = (
-            batch.append_column("md", pa.array(mds, pa.string()))
-            .append_column("spans", pa.array(spans, SPANS_TYPE))
-            .append_column("n_tokens", pa.array(ntoks, pa.int64()))
-            .append_column("status", pa.array(statuses, pa.string()))
-            .append_column("error", pa.array(errors, pa.string()))
-        )
-        if self._emit_original:
-            out = out.append_column("md_original", pa.array(origs, pa.string()))
-            return out.select(_OUT_COLS + ["md_original"])
-        return out.select(_OUT_COLS)
+        cmap = ray.get(cmap_ref)
+        _CHILD_MAP_CACHE = (key, cmap)
+    return cmap
 
 
-def finalize_plain(batch: pa.Table) -> pa.Table:
-    """Normalize-only path for turns with no placeholders."""
-    return _finalize(batch, children_col=False)
+def extract_finalize(batch: pa.Table, cmap_ref=None, extra_extractors=None,
+                     emit_original: bool = False) -> pa.Table:
+    """Fused single pass for the broadcast-join and no-payload routes:
+    extract -> splice (children from the broadcast map behind
+    ``cmap_ref``, keyed by ``(conv_id, turn_idx)``) -> normalize ->
+    token count, one Arrow->Python->Arrow round-trip per batch. The
+    split extract/finalize pair paid that conversion twice over every
+    turn's text (~2x total CPU at bench scale)."""
+    cmap = _child_map(cmap_ref)
+    raws, statuses, errors = _extract(batch, extra_extractors)
+    children = [cmap.get(k) for k in zip(batch["conv_id"].to_pylist(),
+                                         batch["turn_idx"].to_pylist())]
+    batch = (batch.append_column("status", pa.array(statuses, pa.string()))
+             .append_column("error", pa.array(errors, pa.string())))
+    return _finish(batch, raws, children, emit_original)
 
 
 # ---------------------------------------------------------------------------

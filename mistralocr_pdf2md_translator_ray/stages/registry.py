@@ -2,18 +2,17 @@
 
 The reference exposes pluggable OCR / structuring / translation models
 via UI dropdowns (``mistralocr_app.py:1006-1050``); here the same hook
-is a registry keyed by the ``tool`` column value. ``TurnExtractor``
-consults it, so registering a kernel routes matching turns through it
-with no pipeline change:
+is a registry keyed by the ``tool`` column value. The extraction
+functions in ``stages/extract.py`` consult it, so registering a kernel
+routes matching turns through it with no pipeline change:
 
     from mistralocr_pdf2md_translator_ray.stages.registry import register_extractor
     register_extractor("csv", my_csv_to_markdown)   # fn: text -> markdown
 
 Kernels must be pure ``str -> str`` functions (raising -> the row
 becomes a ``status='error'`` value, never an exception). Registration
-must happen before the pipeline builds its actor pool (registrations
-are captured in the actor's ``__init__`` snapshot — per-worker state,
-like the reference's process-global clients).
+must happen before ``extract_turns`` builds its pipeline (the
+registry is snapshotted into the map functions' arguments then).
 """
 
 from __future__ import annotations

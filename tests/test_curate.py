@@ -135,6 +135,22 @@ class TestCurateCorpus:
         assert (lineage2[str(victim)]["content_hash"]
                 == victim_entry["content_hash"])
 
+    def test_old_format_stage_fails_with_actionable_message(self, tmp_path):
+        """A stage marked done by a run that predates per-partition
+        lineage (``_SUCCESS`` but no ``_lineage.json``) must be refused
+        with an error that says what to delete."""
+        import json
+
+        out = tmp_path / "old_format"
+        scrub = out / "scrub"
+        scrub.mkdir(parents=True)
+        pq.write_table(pq.read_table(f"{SF}/documents.parquet"),
+                       str(scrub / "documents.parquet"))
+        (scrub / "_SUCCESS").write_text(json.dumps({"rows": 1}))
+        with pytest.raises(RuntimeError, match="old-format checkpoint") as e:
+            curate_corpus(SF, str(out), span_tokens=8)
+        assert f"delete {out}" in str(e.value)
+
     def test_final_order_deterministic(self, run, tmp_path):
         out, m = run
         a = pq.read_table(os.path.join(out, "order", "documents.parquet")) \

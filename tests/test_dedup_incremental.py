@@ -648,3 +648,40 @@ class TestFoldGenerationHeal:
         kept2 = _kept(di.dedup_minhash_incremental(b, idx,
                                                    update_index=True))
         assert kept2 == [1, 2, 10, 20]
+
+    def test_crash_before_guard_exit_does_not_wedge(self, tmp_path,
+                                                    ray_session,
+                                                    monkeypatch):
+        """A crash after meta is written but before the guard file is
+        removed: the fold finished, so the stale guard must neither
+        refuse the next increment nor let the folded one in twice."""
+        from mistralocr_pdf2md_translator_ray.stages import (
+            dedup_incremental as di,
+        )
+        from mistralocr_pdf2md_translator_ray.stages.dedup import dedup_minhash
+
+        near = BASE.replace("lazy dog", "sleepy dog")
+        r0, ra, rb = [(1, BASE), (2, OTHER)], [(10, near)], [(20, THIRD)]
+        old = _mkcorpus(tmp_path, "wo", r0)
+        a = _mkcorpus(tmp_path, "wa", ra)
+        b = _mkcorpus(tmp_path, "wb", rb)
+        concat = _mkcorpus(tmp_path, "wc", r0 + ra + rb)
+        idx = str(tmp_path / "widx")
+        di.build_dedup_index(old, idx)
+
+        real_exit = di._fold_guard_exit
+
+        def crash_once(index_dir):
+            monkeypatch.setattr(di, "_fold_guard_exit", real_exit)
+            raise RuntimeError("simulated crash before the guard exit")
+
+        monkeypatch.setattr(di, "_fold_guard_exit", crash_once)
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            di.dedup_minhash_incremental(a, idx, update_index=True)
+        assert os.path.exists(os.path.join(idx, "_folding.json"))
+
+        with pytest.raises(ValueError, match="already in the index"):
+            di.dedup_minhash_incremental(a, idx)
+        got = _kept(di.dedup_minhash_incremental(b, idx, update_index=True))
+        assert got == _kept(dedup_minhash(concat))
+        assert not os.path.exists(os.path.join(idx, "_folding.json"))

@@ -123,6 +123,95 @@ class TestOverlappedPathEquality:
                                       check_dtype=False)
 
 
+_ONE_CPU_SCRIPT = """
+import sys
+
+import ray
+import ray.data as rd
+from ray.data import DataContext
+
+DataContext.get_current().enable_progress_bars = False
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+from mistralocr_pdf2md_translator_ray.pipelines.extract_pipeline import extract_turns
+
+t_path, p_path, out = sys.argv[1:]
+extract_turns(rd.read_parquet(t_path), payloads_path=p_path).write_parquet(out)
+ray.shutdown()
+"""
+
+
+class TestOneCpuSession:
+    """With one logical CPU the broadcast route must still finish: the
+    extraction tasks wait on the child map in ray.get, which gives the
+    CPU back to the tasks that compute it. Runs in its own Ray session
+    in a subprocess; on timeout the whole process group (script,
+    raylet, GCS, workers) is killed so nothing outlives the test."""
+
+    TIMEOUT_S = 120
+
+    def test_payloads_path_at_one_cpu_matches_oracle(self, tiny_fixture,
+                                                     oracle_turns, tmp_path):
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        import pyarrow.parquet as pq
+        import pytest
+
+        t, p = tiny_fixture
+        t_path, p_path = str(tmp_path / "t.parquet"), str(tmp_path / "p.parquet")
+        pq.write_table(t, t_path)
+        pq.write_table(p, p_path)
+        out = str(tmp_path / "out")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _ONE_CPU_SCRIPT, t_path, p_path, out],
+            cwd=root, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            start_new_session=True)
+        try:
+            log, _ = proc.communicate(timeout=self.TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail(f"extract_turns at num_cpus=1 did not finish in "
+                        f"{self.TIMEOUT_S} s")
+        assert proc.returncode == 0, log.decode(errors="replace")[-4000:]
+        got = _as_sorted_pdf(pq.read_table(out))
+        exp = _as_sorted_pdf(oracle_turns)
+        pd.testing.assert_frame_equal(got[exp.columns.tolist()], exp,
+                                      check_dtype=False)
+
+
+class TestChildMapCache:
+    """Workers cache the broadcast child map per process. Two calls in
+    one session with different payload files must each see their own
+    map, never the one cached by the previous call."""
+
+    def test_second_call_sees_its_own_payloads(self, tiny_fixture, tmp_path):
+        import pyarrow.parquet as pq
+
+        t, p = tiny_fixture
+        halved = p.slice(0, p.num_rows // 2)
+        exps = []
+        for name, payloads in (("full", p), ("half", halved)):
+            p_path = str(tmp_path / f"{name}.parquet")
+            pq.write_table(payloads, p_path)
+            got = _canon(
+                extract_turns(rd.from_arrow(t), payloads_path=p_path)
+                .to_pandas()
+                .sort_values(["conv_id", "turn_idx"])
+                .reset_index(drop=True)
+            )
+            exp = _as_sorted_pdf(oracle_extract_turns(t, payloads))
+            pd.testing.assert_frame_equal(got[exp.columns.tolist()], exp,
+                                          check_dtype=False)
+            exps.append(exp)
+        # the dropped payloads change the output, so a stale map shows
+        assert not exps[0]["md"].equals(exps[1]["md"])
+
+
 class TestOverlappedBound:
     """The overlapped broadcast path must be BOUNDED: when parquet
     footer metadata says the child table exceeds the broadcast cap,
