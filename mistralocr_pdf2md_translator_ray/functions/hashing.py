@@ -10,8 +10,9 @@ entirely).
 Stability contract: polars' seeded hash is deterministic across
 PROCESSES within one library version — exactly what transient shuffle
 bucketing needs (all workers of one job agree). It is NOT promised
-stable across polars upgrades, so anything persisted across runs
-(checkpoint ``part_id``, state/checkpoint.py) stays on crc32.
+stable across polars upgrades, so checkpoint ``part_id``
+(state/checkpoint.py) stays on crc32, and the indexes partitioned on
+``bucket_ids`` carry ``partition_hash_tag()`` and refuse a mismatch.
 """
 
 from __future__ import annotations
@@ -21,7 +22,15 @@ import pyarrow as pa
 
 
 def bucket_ids(arr: "pa.Array | pa.ChunkedArray", num_buckets: int) -> pa.Array:
-    """Arrow column -> int32 bucket ids in [0, num_buckets)."""
+    """Arrow column -> int32 bucket ids in [0, num_buckets).
+
+    Every keyed shuffle hashes through here (stages/joins.py), and so
+    do three persisted indexes that partition their files on it: the
+    MinHash band index (``bb=``), the exact-dedup LSM (``hb=``) and the
+    hyperplane band index. The ids change with the polars version, so
+    those indexes record ``partition_hash_tag()`` in their meta.json at
+    build and refuse an increment from any other version (a probe
+    would read the wrong partition and miss duplicates silently)."""
     import polars as pl
 
     h = pl.from_arrow(arr if isinstance(arr, (pa.Array, pa.ChunkedArray))
@@ -29,13 +38,11 @@ def bucket_ids(arr: "pa.Array | pa.ChunkedArray", num_buckets: int) -> pa.Array:
     return pa.array((h % num_buckets).to_numpy().astype(np.int32))
 
 
-def bucket_ids_np(values, num_buckets: int) -> np.ndarray:
-    """pandas/numpy sequence -> int32 bucket ids (vectorized; for
-    pandas-format UDFs that never touch Arrow)."""
+def partition_hash_tag() -> str:
+    """Names the ``bucket_ids`` build: the polars version."""
     import polars as pl
 
-    s = pl.Series(values) if not isinstance(values, np.ndarray) else pl.Series(values)
-    return (s.hash(seed=0) % num_buckets).to_numpy().astype(np.int32)
+    return f"polars-{pl.__version__}"
 
 
 #: Version tag recorded in checkpoint lineage next to content hashes.

@@ -47,7 +47,6 @@ import ray.data as rd
 from ..stages.extract import (
     CHILD_SCHEMA,
     PARENT_SCHEMA,
-    build_child_rows,
     extract_children,
     extract_finalize,
     extract_raw_md,
@@ -55,35 +54,6 @@ from ..stages.extract import (
     merge_children_into_parents,
 )
 from ..stages.joins import cogroup
-
-
-def _broadcast_child_map(child_mat: "ray.data.Dataset"):
-    """Aggregate child rows to one (conv, turn) -> children_json row per
-    turn ON THE CLUSTER (bucketed groupby — a driver-side pandas loop
-    over every turn was serial-linear), then assemble the broadcast
-    dict from the already-aggregated rows."""
-    import pyarrow as pa
-    import ray
-
-    from ..functions.hashing import bucket_ids
-    from ..stages.joins import coalesce_blocks
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column("b", bucket_ids(t["conv_id"], 64))
-
-    def per_bucket(g):
-        return build_child_rows(g)
-
-    agg = (
-        child_mat.map_batches(add_bucket, batch_format="pyarrow")
-        .repartition(coalesce_blocks())
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
-        .to_pandas()
-    )
-    cmap = dict(zip(zip(agg["conv_id"], agg["turn_idx"].astype(int)),
-                    agg["children_json"]))
-    return ray.put(cmap)
 
 
 def _payload_files(payloads_path) -> list[str]:
@@ -132,11 +102,12 @@ def _parquet_meta_rows(files: list[str]) -> int:
     return sum(pq.ParquetFile(f).metadata.num_rows for f in files)
 
 
-def _filter_conv_partitions(payloads: "rd.Dataset", conv_filter) -> "rd.Dataset":
-    """Restrict a payloads Dataset to conversations hashing into the
-    pending partitions (resume path for the non-broadcast route).
-    crc32 per UNIQUE conv via dictionary encoding + vectorized isin —
-    the hash itself stays crc32 (checkpoint stability contract)."""
+def _keep_conv_partitions(t, conv_filter):
+    """Rows of ``t`` whose conversation hashes into the pending
+    partitions of ``conv_filter = (part_ids, n_partitions)`` (the resume
+    path). crc32 per UNIQUE conv via dictionary encoding + vectorized
+    isin — the hash itself stays crc32 (checkpoint stability
+    contract)."""
     import numpy as np
     import pyarrow as pa
 
@@ -144,36 +115,34 @@ def _filter_conv_partitions(payloads: "rd.Dataset", conv_filter) -> "rd.Dataset"
 
     part_ids, n_parts = conv_filter
     want = np.fromiter(sorted(part_ids), dtype=np.int64, count=len(part_ids))
+    pids = crc32_part_ids(t["conv_id"], n_parts)
+    return t.filter(pa.array(np.isin(pids, want)))
 
-    def fn(t: pa.Table) -> pa.Table:
-        pids = crc32_part_ids(t["conv_id"], n_parts)
-        return t.filter(pa.array(np.isin(pids, want)))
 
-    return payloads.map_batches(fn, batch_format="pyarrow")
+def _filter_conv_partitions(payloads: "rd.Dataset", conv_filter) -> "rd.Dataset":
+    """Restrict a payloads Dataset to the pending partitions (resume
+    path for the non-broadcast route)."""
+    return payloads.map_batches(_keep_conv_partitions, batch_format="pyarrow",
+                                fn_args=(conv_filter,))
 
 
 @ray.remote
-def _child_partial(shard: list[str], conv_filter) -> dict:
+def _child_partial(conv_filter, *sources) -> dict:
     """One shard's child partial map {(conv, turn): {payload_id:
-    extracted}}."""
-    import numpy as np
-    import pyarrow as pa
+    extracted}}. A source is a payload parquet file or, on the Dataset
+    route, a payload block (an Arrow table, resolved by the scheduler
+    because it arrives as a top-level argument)."""
     import pyarrow.parquet as pq
 
     from ..functions.extract import extract_child_payload
-    from ..functions.hashing import crc32_part_ids
 
+    cols = ["conv_id", "turn_idx", "payload_id", "kind", "payload"]
     out: dict = {}
-    for f in shard:
-        t = pq.read_table(
-            f, columns=["conv_id", "turn_idx", "payload_id", "kind", "payload"]
-        )
+    for src in sources:
+        t = (pq.read_table(src, columns=cols) if isinstance(src, str)
+             else src.select(cols))
         if conv_filter is not None:
-            part_ids, n_parts = conv_filter
-            want = np.fromiter(sorted(part_ids), dtype=np.int64,
-                               count=len(part_ids))
-            pids = crc32_part_ids(t["conv_id"], n_parts)
-            t = t.filter(pa.array(np.isin(pids, want)))
+            t = _keep_conv_partitions(t, conv_filter)
         for conv, turn, pid, kind, blob in zip(
             t["conv_id"].to_pylist(), t["turn_idx"].to_pylist(),
             t["payload_id"].to_pylist(), t["kind"].to_pylist(),
@@ -184,17 +153,25 @@ def _child_partial(shard: list[str], conv_filter) -> dict:
     return out
 
 
-def _child_partial_refs(files: list[str], conv_filter=None):
-    """Launch raw Ray tasks computing per-shard child partial maps;
-    returns pending refs.
+def _shards(items: list) -> list[list]:
+    """Split the inputs of a raw-task launch that runs BESIDE a Ray Data
+    pipeline into at most half the cluster's CPUs of shards (at least
+    one), so the pipeline's read and map tasks always find a CPU."""
+    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+    k = max(1, min(len(items), cpus // 2))
+    return [items[i::k] for i in range(k)]
+
+
+def _child_partial_refs(sources: list, conv_filter=None):
+    """Launch raw Ray tasks computing per-shard child partial maps over
+    payload files or block refs; returns pending refs.
 
     ``conv_filter`` is an optional ``(part_ids:set, n_partitions:int)``
     restricting extraction to conversations hashing into those
     partitions (resume path: don't re-extract children for completed
     partitions)."""
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    k = max(1, min(len(files), cpus))
-    return [_child_partial.remote(files[i::k], conv_filter) for i in range(k)]
+    return [_child_partial.remote(conv_filter, *shard)
+            for shard in _shards(sources)]
 
 
 @ray.remote
@@ -306,14 +283,17 @@ def extract_turns(
         return _extract_finalize(transcripts, None, emit_original)
 
     if children is None:
-        # The child phase runs to completion BEFORE the main pass (its
-        # result is the broadcast map).
-        child_mat = payloads.map_batches(extract_children,
-                                         batch_format="pyarrow").materialize()
-        if child_mat.count() <= BROADCAST_CHILD_MAX_ROWS:
+        # The payload blocks materialize first (the gate needs their
+        # row count), then feed the same partial -> merge tasks as the
+        # payloads_path route, as top-level arguments.
+        payloads = payloads.materialize()
+        if payloads.count() <= BROADCAST_CHILD_MAX_ROWS:
+            refs = _child_partial_refs(payloads.to_arrow_refs())
             return _extract_finalize(
-                transcripts, _broadcast_child_map(child_mat), emit_original)
-        children = child_mat  # too big to broadcast; reuse for cogroup
+                transcripts, _merge_child_partials.remote(*refs),
+                emit_original)
+        children = payloads.map_batches(extract_children,
+                                        batch_format="pyarrow")
 
     # Pre-split on the *input* text so each branch extracts its rows
     # exactly once (a lazy Dataset consumed by two branches would
@@ -370,10 +350,8 @@ def _hot_conversations(transcripts: "ray.data.Dataset",
     driver path removes the bucketed reduce's fixed costs
     (repartition + sort groupby, ~2-3 s) from every normal-scale run."""
     import pandas as pd
-    import pyarrow as pa
 
-    from ..functions.hashing import bucket_ids
-    from ..stages.joins import coalesce_blocks
+    from ..stages.joins import bucket_groups
 
     def batch_counts(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("conv_id", as_index=False).agg(n=("conv_id", "size"))
@@ -397,19 +375,11 @@ def _hot_conversations(transcripts: "ray.data.Dataset",
         s = pd.concat(frames, ignore_index=True).groupby("conv_id")["n"].sum()
         return set(s[s > hot_threshold].index)
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column("b", bucket_ids(t["conv_id"], 32))
-
     def per_bucket(g):
         s = g.groupby("conv_id", as_index=False)["n"].sum()
         return s.loc[s["n"] > hot_threshold, ["conv_id"]]
 
-    hot_rows = (
-        partials.map_batches(add_bucket, batch_format="pyarrow")
-        .repartition(coalesce_blocks())
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    hot_rows = bucket_groups(partials, "conv_id", per_bucket, 32)
     return {r["conv_id"] for r in hot_rows.take_all()}
 
 
@@ -462,12 +432,7 @@ def _hot_conversations_from_files(files: list[str], threshold: int):
     cheaper than the full Dataset hot-scan (no Ray Data fixed costs —
     parallel single-column reads + value_counts), and the caller can
     launch it early and get() it only when assembly needs the set."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    k = max(1, min(len(files), cpus // 2))
-    shards = [files[i::k] for i in range(k)]
-    partials = [_conv_counts_shard.remote(s) for s in shards]
+    partials = [_conv_counts_shard.remote(s) for s in _shards(files)]
     return _hot_from_counts.remote(threshold, *partials)
 
 

@@ -40,8 +40,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from ..functions.hashing import bucket_ids_np
 from ..functions.vectors import list_column_to_matrix, topk_prune
+from ..stages.joins import BUCKET_COL, bucket_groups
 
 
 def _pq(sf_dir: str, name: str, columns: list[str] | None = None) -> "rd.Dataset":
@@ -610,22 +610,13 @@ def top_orders_per_customer(sf_dir: str, k: int = 2,
     sort + groupby.head(k)."""
     ds = _pq(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["b"] = bucket_ids_np(df["o_custkey"].to_numpy(), num_buckets)
-        return df
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["o_custkey", "o_totalprice", "o_orderkey"],
                           ascending=[True, False, True], kind="mergesort")
         out = g.groupby("o_custkey", sort=False).head(k)
         return out[["o_custkey", "o_orderkey", "o_totalprice"]]
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas", batch_size=65536)
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return bucket_groups(ds, "o_custkey", per_bucket, num_buckets)
 
 
 TOP_ORDERS_PER_CUSTOMER_SQL = """
@@ -809,11 +800,6 @@ def order_rank_in_customer(sf_dir: str, num_buckets: int = 32) -> "rd.Dataset":
     never a per-customer UDF call."""
     ds = _pq(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["b"] = bucket_ids_np(df["o_custkey"].to_numpy(), num_buckets)
-        return df
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["o_custkey", "o_totalprice", "o_orderkey"],
                           ascending=[True, False, True], kind="mergesort")
@@ -824,11 +810,7 @@ def order_rank_in_customer(sf_dir: str, num_buckets: int = 32) -> "rd.Dataset":
             "rnk": rnk.astype("int64"),
         })
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas", batch_size=65536)
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return bucket_groups(ds, "o_custkey", per_bucket, num_buckets)
 
 
 def revenue_rollup(sf_dir: str) -> "rd.Dataset":
@@ -887,9 +869,7 @@ def distinct_users_by_type(sf_dir: str, num_buckets: int = 32) -> "rd.Dataset":
     ds = _pq(sf_dir, "events", ["event_type", "user_id"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.drop_duplicates(["event_type", "user_id"]).copy()
-        out["b"] = bucket_ids_np(out["user_id"].to_numpy(), num_buckets)
-        return out
+        return df.drop_duplicates(["event_type", "user_id"])
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(["event_type", "user_id"])
@@ -904,9 +884,9 @@ def distinct_users_by_type(sf_dir: str, num_buckets: int = 32) -> "rd.Dataset":
                              "n_users": out["n"].astype("int64")})
 
     return (
-        ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
+        bucket_groups(
+            ds.map_batches(partial, batch_format="pandas", batch_size=65536),
+            "user_id", per_bucket, num_buckets)
         # <= types x buckets partial rows: one block finishes
         .repartition(1)
         .map_batches(finish, batch_format="pandas")
@@ -1040,10 +1020,8 @@ def approx_value_quantiles(sf_dir: str,
         for et, sub in df.groupby("event_type", sort=False):
             types.append(et)
             blobs.append(_pack_digest(tdigest_build(sub["value"].to_numpy())))
-        out = pd.DataFrame({"event_type": pd.array(types, dtype="object"),
-                            "digest": pd.array(blobs, dtype="object")})
-        out["b"] = bucket_ids_np(out["event_type"].to_numpy(), 8)
-        return out
+        return pd.DataFrame({"event_type": pd.array(types, dtype="object"),
+                             "digest": pd.array(blobs, dtype="object")})
 
     def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
         types, blobs = [], []
@@ -1071,9 +1049,9 @@ def approx_value_quantiles(sf_dir: str,
         return out.reset_index(drop=True)
 
     return (
-        ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-        .groupby("b")
-        .map_groups(merge_bucket, batch_format="pandas")
+        bucket_groups(
+            ds.map_batches(partial, batch_format="pandas", batch_size=65536),
+            "event_type", merge_bucket, 8)
         # <= types x buckets digest rows (~KBs): one block finishes
         .repartition(1)
         .map_batches(finish, batch_format="pandas")
@@ -1168,7 +1146,6 @@ def event_type_pivot(sf_dir: str, num_buckets: int = 32) -> "rd.Dataset":
         out = pd.DataFrame({"user_id": ct["user_id"].astype("int64")})
         for et in _EVENT_TYPES:
             out[f"n_{et}"] = ct[et].astype("int64")
-        out["b"] = bucket_ids_np(out["user_id"].to_numpy(), num_buckets)
         return out
 
     cols = [f"n_{et}" for et in _EVENT_TYPES]
@@ -1181,11 +1158,9 @@ def event_type_pivot(sf_dir: str, num_buckets: int = 32) -> "rd.Dataset":
         out["n_total"] = agg[cols].sum(axis=1).astype("int64")
         return out
 
-    return (
-        ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return bucket_groups(
+        ds.map_batches(partial, batch_format="pandas", batch_size=65536),
+        "user_id", per_bucket, num_buckets)
 
 
 EVENT_TYPE_PIVOT_SQL = """
@@ -1353,7 +1328,6 @@ def _sessionize_windowed(sf_dir: str,
             first_ts=("ts", "min"), last_ts=("ts", "max"),
             n=("v_u", "size"), s=("v_u", "sum"))
         g["n"] = g["n"].astype("int64")
-        g["b"] = bucket_ids_np(g["user_id"].to_numpy(), num_buckets)
         return g
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -1378,12 +1352,10 @@ def _sessionize_windowed(sf_dir: str,
         return out[["user_id", "session_id", "n_events", "session_start",
                     "total_value"]]
 
-    return (
+    return bucket_groups(
         ds.map_batches(window_partial, batch_format="pandas",
-                       batch_size=65536)
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+                       batch_size=65536),
+        "user_id", per_bucket, num_buckets)
 
 
 def sessionize_events(sf_dir: str, num_buckets: int = 32,
@@ -1409,11 +1381,6 @@ def sessionize_events(sf_dir: str, num_buckets: int = 32,
 
     gap = pd.Timedelta(minutes=30)
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["b"] = bucket_ids_np(df["user_id"].to_numpy(), num_buckets)
-        return df
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts"], kind="mergesort")
         diff = g.groupby("user_id", sort=False)["ts"].diff()
@@ -1432,11 +1399,7 @@ def sessionize_events(sf_dir: str, num_buckets: int = 32,
         return out[["user_id", "session_id", "n_events", "session_start",
                     "total_value"]]
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas", batch_size=65536)
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return bucket_groups(ds, "user_id", per_bucket, num_buckets)
 
 
 SESSIONIZE_SQL = """
@@ -1482,11 +1445,6 @@ def hourly_counts(sf_dir: str) -> "rd.Dataset":
     # window cardinality grows with the data's time range — bucketed
     # combine, not Ray's sort aggregate (fixed cost per task explodes
     # past ~10k keys; see hopping_counts / BASELINE.md)
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["b"] = bucket_ids_np(df["window_start"].astype("int64").to_numpy(), 32)
-        return df
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby(["window_start", "event_type"], as_index=False).agg(
             s=("s", "sum"), n=("n", "sum"))
@@ -1497,12 +1455,9 @@ def hourly_counts(sf_dir: str) -> "rd.Dataset":
             "total_value": out["s"] / 100.0,
         })
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .map_batches(add_bucket, batch_format="pandas")
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return bucket_groups(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        "window_start", per_bucket, 32)
 
 
 HOURLY_COUNTS_SQL = """
@@ -1545,11 +1500,6 @@ def hopping_counts(sf_dir: str, window_s: int = 3600,
     # aggregate pays seconds of fixed cost here — use the bucketed
     # groupby with a vectorized combine per bucket instead (same
     # pattern as every other high-cardinality reduction in this repo)
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["b"] = bucket_ids_np(df["ws_slot"].to_numpy(), 32)
-        return df
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby(["ws_slot", "event_type"], as_index=False).agg(
             n=("n", "sum"))
@@ -1559,12 +1509,9 @@ def hopping_counts(sf_dir: str, window_s: int = 3600,
             "n_events": out["n"].astype("int64"),
         })
 
-    return (
-        ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-        .map_batches(add_bucket, batch_format="pandas")
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return bucket_groups(
+        ds.map_batches(partial, batch_format="pandas", batch_size=65536),
+        "ws_slot", per_bucket, 32)
 
 
 HOPPING_COUNTS_SQL = """
@@ -1585,11 +1532,6 @@ def rolling_avg_value(sf_dir: str, window: int = 5,
     the SQL window frame."""
     ds = _pq(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["b"] = bucket_ids_np(df["user_id"].to_numpy(), num_buckets)
-        return df
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         g = g.assign(v_u=np.floor(g["value"] * 100 + 0.5).astype("int64"))
@@ -1601,11 +1543,7 @@ def rolling_avg_value(sf_dir: str, window: int = 5,
         g["rolling_avg"] = (sums / 100.0 / ns).round(6)
         return g[["event_id", "user_id", "ts", "rolling_avg"]]
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas", batch_size=65536)
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return bucket_groups(ds, "user_id", per_bucket, num_buckets)
 
 
 ROLLING_AVG_SQL = """
@@ -1624,11 +1562,6 @@ def running_user_value(sf_dir: str, num_buckets: int = 32) -> "rd.Dataset":
     classic ordered window aggregate, exact-unit parity."""
     ds = _pq(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["b"] = bucket_ids_np(df["user_id"].to_numpy(), num_buckets)
-        return df
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         g = g.assign(v_u=np.floor(g["value"] * 100 + 0.5).astype("int64"))
@@ -1637,11 +1570,7 @@ def running_user_value(sf_dir: str, num_buckets: int = 32) -> "rd.Dataset":
         )
         return g[["event_id", "user_id", "ts", "running_total"]]
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas", batch_size=65536)
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return bucket_groups(ds, "user_id", per_bucket, num_buckets)
 
 
 RUNNING_USER_VALUE_SQL = """
@@ -1663,10 +1592,8 @@ def asof_purchase_click(sf_dir: str) -> "rd.Dataset":
     ds = _pq(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
     num_buckets = 32
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df["event_type"].isin(("purchase", "click"))].copy()
-        df["b"] = bucket_ids_np(df["user_id"].to_numpy(), num_buckets)
-        return df
+    def clicks_and_purchases(df: pd.DataFrame) -> pd.DataFrame:
+        return df[df["event_type"].isin(("purchase", "click"))]
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         p = (g[g["event_type"] == "purchase"]
@@ -1688,11 +1615,10 @@ def asof_purchase_click(sf_dir: str) -> "rd.Dataset":
         )
         return merged[["event_id", "user_id", "ts", "last_click_ts"]]
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas", batch_size=65536)
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return bucket_groups(
+        ds.map_batches(clicks_and_purchases, batch_format="pandas",
+                       batch_size=65536),
+        "user_id", per_bucket, num_buckets)
 
 
 ASOF_SQL = """
@@ -1901,11 +1827,6 @@ def value_percentiles_by_type(sf_dir: str, num_buckets: int = 8,
                 lambda df, _bt=bt: df[~df["event_type"].isin(_bt)],
                 batch_format="pandas")
 
-        def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            df["b"] = bucket_ids_np(df["event_type"].to_numpy(), num_buckets)
-            return df
-
         def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
             out = []
             for et, sub in g.groupby("event_type", sort=False):
@@ -1920,10 +1841,7 @@ def value_percentiles_by_type(sf_dir: str, num_buckets: int = 8,
             return r
 
         small_part = (
-            small_ds.map_batches(add_bucket, batch_format="pandas",
-                                 batch_size=65536)
-            .groupby("b")
-            .map_groups(per_bucket, batch_format="pandas")
+            bucket_groups(small_ds, "event_type", per_bucket, num_buckets)
             .map_batches(lambda t: t, batch_format="pyarrow")
         )
         if not big_types:
@@ -1986,11 +1904,6 @@ def value_quantiles_cont(sf_dir: str, num_buckets: int = 8,
                 lambda df, _bt=bt: df[~df["event_type"].isin(_bt)],
                 batch_format="pandas")
 
-        def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            df["b"] = bucket_ids_np(df["event_type"].to_numpy(), num_buckets)
-            return df
-
         def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
             out = []
             for et, sub in g.groupby("event_type", sort=False):
@@ -2010,10 +1923,7 @@ def value_quantiles_cont(sf_dir: str, num_buckets: int = 8,
             return r
 
         small_part = (
-            small_ds.map_batches(add_bucket, batch_format="pandas",
-                                 batch_size=65536)
-            .groupby("b")
-            .map_groups(per_bucket, batch_format="pandas")
+            bucket_groups(small_ds, "event_type", per_bucket, num_buckets)
             .map_batches(lambda t: t, batch_format="pyarrow")
         )
         if not big_types:
@@ -2151,11 +2061,6 @@ def median_value_by_type(sf_dir: str,
                 lambda df, _bt=bt: df[~df["event_type"].isin(_bt)],
                 batch_format="pandas")
 
-        def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            df["b"] = bucket_ids_np(df["event_type"].to_numpy(), 8)
-            return df
-
         def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
             out = []
             for et, sub in g.groupby("event_type", sort=False):
@@ -2167,10 +2072,7 @@ def median_value_by_type(sf_dir: str,
             return r
 
         small_part = (
-            small_ds.map_batches(add_bucket, batch_format="pandas",
-                                 batch_size=65536)
-            .groupby("b")
-            .map_groups(per_bucket, batch_format="pandas")
+            bucket_groups(small_ds, "event_type", per_bucket, 8)
             # arrow-ify so a union with the histogram side never mixes
             # pandas and arrow block types (breaks iter_batches)
             .map_batches(lambda t: t, batch_format="pyarrow")
@@ -2212,9 +2114,7 @@ def top_users_by_events(sf_dir: str, k: int = 20,
     ds = _pq(sf_dir, "events", ["user_id"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby("user_id", as_index=False).agg(n=("user_id", "size"))
-        out["b"] = bucket_ids_np(out["user_id"].to_numpy(), num_buckets)
-        return out
+        return df.groupby("user_id", as_index=False).agg(n=("user_id", "size"))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby("user_id", as_index=False).agg(n_events=("n", "sum"))
@@ -2224,9 +2124,9 @@ def top_users_by_events(sf_dir: str, k: int = 20,
         return agg.head(k)[["user_id", "n_events"]]
 
     return (
-        ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
+        bucket_groups(
+            ds.map_batches(partial, batch_format="pandas", batch_size=65536),
+            "user_id", per_bucket, num_buckets)
         .sort(["n_events", "user_id"], descending=[True, False])
         .limit(k)
     )
@@ -2300,10 +2200,8 @@ def clicks_before_purchase(sf_dir: str, window_min: int = 60,
     ds = _pq(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
     window = pd.Timedelta(minutes=window_min)
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df["event_type"].isin(("purchase", "click"))].copy()
-        df["b"] = bucket_ids_np(df["user_id"].to_numpy(), num_buckets)
-        return df
+    def clicks_and_purchases(df: pd.DataFrame) -> pd.DataFrame:
+        return df[df["event_type"].isin(("purchase", "click"))]
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         p = g[g["event_type"] == "purchase"].sort_values("ts", kind="mergesort")
@@ -2335,11 +2233,10 @@ def clicks_before_purchase(sf_dir: str, window_min: int = 60,
         m["n_clicks"] = (m["hi"].fillna(0) - m["lo"].fillna(0)).astype("int64")
         return m[["event_id", "user_id", "ts", "n_clicks"]]
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas", batch_size=65536)
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return bucket_groups(
+        ds.map_batches(clicks_and_purchases, batch_format="pandas",
+                       batch_size=65536),
+        "user_id", per_bucket, num_buckets)
 
 
 CLICKS_BEFORE_PURCHASE_SQL = """
@@ -2491,6 +2388,7 @@ def _funnel_counts_frontier(sf_dir: str, steps: tuple,
     (hot-user step-k events)/salts; raise ``salts`` for nastier keys.
     Exactness: pinned against the bucket-residency path and the DuckDB
     oracle by the forced-gate test (TestFunnel)."""
+    from ..functions.hashing import bucket_ids
     from ..stages.joins import cogroup
 
     counts: list[int] = []
@@ -2499,11 +2397,8 @@ def _funnel_counts_frontier(sf_dir: str, steps: tuple,
         if depth == 1:
             def partial_min(df: pd.DataFrame, et=et) -> pd.DataFrame:
                 sub = df[df["event_type"] == et]
-                out = sub.groupby("user_id", as_index=False).agg(
+                return sub.groupby("user_id", as_index=False).agg(
                     t=("ts", "min"))
-                out["b"] = bucket_ids_np(out["user_id"].to_numpy(),
-                                         num_buckets)
-                return out
 
             partials = _pq(sf_dir, "events",
                            ["user_id", "ts", "event_type"]).map_batches(
@@ -2518,9 +2413,9 @@ def _funnel_counts_frontier(sf_dir: str, steps: tuple,
                 out = sub[["user_id", "ts"]].copy()
                 # salt on the timestamp hash: the SAME user's events
                 # spread across groups (salting by user would not)
-                out["salt"] = bucket_ids_np(
+                out["salt"] = bucket_ids(pa.array(
                     out["ts"].to_numpy().astype("datetime64[ns]")
-                    .astype("int64"), salts).astype("int32")
+                    .astype("int64")), salts).to_numpy()
                 return out
 
             def replicate(df: pd.DataFrame) -> pd.DataFrame:
@@ -2536,11 +2431,8 @@ def _funnel_counts_frontier(sf_dir: str, steps: tuple,
                 m = ldf.merge(rdf[["user_id", "t"]], on="user_id",
                               how="inner")
                 m = m[m["ts"] > m["t"]]
-                out = m.groupby("user_id", as_index=False).agg(
+                return m.groupby("user_id", as_index=False).agg(
                     t=("ts", "min"))
-                out["b"] = bucket_ids_np(out["user_id"].to_numpy(),
-                                         num_buckets)
-                return out
 
             events = _pq(sf_dir, "events",
                          ["user_id", "ts", "event_type"]).map_batches(
@@ -2562,11 +2454,8 @@ def _funnel_counts_frontier(sf_dir: str, steps: tuple,
         def combine_min(g: pd.DataFrame) -> pd.DataFrame:
             return g.groupby("user_id", as_index=False).agg(t=("t", "min"))
 
-        frontier = (
-            partials.groupby("b")
-            .map_groups(combine_min, batch_format="pandas")
-            .materialize()
-        )
+        frontier = bucket_groups(partials, "user_id", combine_min,
+                                 num_buckets).materialize()
         counts.append(frontier.count())
 
     return rd.from_pandas(pd.DataFrame({
@@ -2611,10 +2500,8 @@ def funnel_counts(sf_dir: str, steps: tuple = FUNNEL_STEPS,
 
     ds = _pq(sf_dir, "events", ["user_id", "ts", "event_type"])
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df["event_type"].isin(steps)].copy()
-        df["b"] = bucket_ids_np(df["user_id"].to_numpy(), num_buckets)
-        return df
+    def funnel_events(df: pd.DataFrame) -> pd.DataFrame:
+        return df[df["event_type"].isin(steps)]
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         frontier = None  # DataFrame(user_id, t) of users at prior depth
@@ -2636,11 +2523,10 @@ def funnel_counts(sf_dir: str, steps: tuple = FUNNEL_STEPS,
                              "n_users": pd.Series(out_counts,
                                                   dtype="int64")})
 
-    partials = (
-        ds.map_batches(add_bucket, batch_format="pandas", batch_size=262144)
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    partials = bucket_groups(
+        ds.map_batches(funnel_events, batch_format="pandas",
+                       batch_size=262144),
+        "user_id", per_bucket, num_buckets)
 
     # zero-seed union: with zero matching events the grouped reduce
     # emits NO blocks at all (the combine UDF would never run and the
@@ -2917,15 +2803,8 @@ def tfidf_top_terms(sf_dir: str, k: int = 3, min_df: int = 2,
     ds = _pq(sf_dir, "documents", ["doc_id", "text"])
     explode_tf = _explode_tf
 
-    from ..stages.joins import coalesce_blocks
-
     if n_docs <= salted_min_rows:
         # ---- small regime: one token-bucketed shuffle ----------------
-        def explode_tb(df: pd.DataFrame) -> pd.DataFrame:
-            out = explode_tf(df)
-            out["tb"] = bucket_ids_np(out["token"].to_numpy(), num_buckets)
-            return out
-
         def score_bucket(g: pd.DataFrame) -> pd.DataFrame:
             # df = rows per token (one row per (doc, token))
             dfs = g["token"].value_counts()
@@ -2943,20 +2822,17 @@ def tfidf_top_terms(sf_dir: str, k: int = 3, min_df: int = 2,
                                  "token": m["token"],
                                  "tfidf": score})
 
-        scored = (
-            ds.map_batches(explode_tb, batch_format="pandas",
-                           batch_size=4096)
-            .repartition(coalesce_blocks())
-            .groupby("tb")
-            .map_groups(score_bucket, batch_format="pandas")
-        )
+        scored = bucket_groups(
+            ds.map_batches(explode_tf, batch_format="pandas",
+                           batch_size=4096),
+            "token", score_bucket, num_buckets)
         return _tfidf_topk(scored, k, num_buckets)
 
     # ---- at-scale regime: one pass, one shuffle, zero materialize ----
-    # Group id = token_bucket * salts + salt: every (token, salt) pair
-    # owns exactly one group, so a group never mixes two salts of the
-    # same token (partials replicate once per salt — summing them per
-    # token inside the group is the EXACT global df, no double count).
+    # Bucketed on (token, salt): every (token, salt) pair lands in one
+    # bucket with its df partials (replicated once per salt), and a
+    # bucket sums them per (token, salt) — the EXACT global df even
+    # when two salts of one token share a bucket, no double count.
     # All columns carry explicit dummies (doc_id=-1/tf=0 on partials,
     # pdf=0 on tf rows): the shuffled table has NO nulls, so the pandas
     # block conversion can never coerce int64 doc_ids through float64
@@ -2964,22 +2840,17 @@ def tfidf_top_terms(sf_dir: str, k: int = 3, min_df: int = 2,
     # for; pinned by test_salted_path_preserves_large_doc_ids).
     def fused_explode(df: pd.DataFrame) -> pd.DataFrame:
         tf = explode_tf(df)
-        tok = tf["token"].to_numpy()
-        tb = bucket_ids_np(tok, num_buckets).astype(np.int64)
-        salt = (tf["doc_id"].to_numpy() % salts).astype(np.int64)
         frames = [pd.DataFrame({
-            "gb": tb * salts + salt,
+            "salt": (tf["doc_id"].to_numpy() % salts).astype(np.int64),
             "token": tf["token"],
             "doc_id": tf["doc_id"].astype("int64"),
             "tf": tf["tf"].astype("int64"),
             "pdf": np.zeros(len(tf), dtype=np.int64),
         })]
         part = tf.groupby("token", as_index=False).size()
-        ptb = bucket_ids_np(part["token"].to_numpy(),
-                            num_buckets).astype(np.int64)
         for s in range(salts):
             frames.append(pd.DataFrame({
-                "gb": ptb * salts + s,
+                "salt": np.full(len(part), s, dtype=np.int64),
                 "token": part["token"],
                 "doc_id": np.full(len(part), -1, dtype=np.int64),
                 "tf": np.zeros(len(part), dtype=np.int64),
@@ -2989,26 +2860,26 @@ def tfidf_top_terms(sf_dir: str, k: int = 3, min_df: int = 2,
 
     def score_group(g: pd.DataFrame) -> pd.DataFrame:
         part = g[g["pdf"] > 0]
-        dfn = part.groupby("token")["pdf"].sum()
+        dfn = part.groupby(["token", "salt"])["pdf"].sum()
         dfn = dfn[dfn >= min_df]
-        m = g[(g["pdf"] == 0) & g["token"].isin(dfn.index)]
+        tf = g[g["pdf"] == 0]
+        key = pd.MultiIndex.from_frame(tf[["token", "salt"]])
+        hit = key.isin(dfn.index)
+        m = tf[hit]
         if m.empty:
             return pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
                                  "token": pd.Series([], dtype="object"),
                                  "tfidf": pd.Series([], dtype="float64")})
-        df_n = dfn.reindex(m["token"]).to_numpy().astype(np.float64)
+        df_n = dfn.reindex(key[hit]).to_numpy().astype(np.float64)
         score = m["tf"].to_numpy() * np.log(n_docs / df_n)
         return pd.DataFrame({"doc_id": m["doc_id"].astype("int64"),
                              "token": m["token"],
                              "tfidf": score})
 
-    scored = (
+    scored = bucket_groups(
         ds.map_batches(fused_explode, batch_format="pandas",
-                       batch_size=4096)
-        .repartition(coalesce_blocks())
-        .groupby("gb")
-        .map_groups(score_group, batch_format="pandas")
-    )
+                       batch_size=4096),
+        ["token", "salt"], score_group, num_buckets * salts)
     return _tfidf_topk(scored, k, num_buckets)
 
 
@@ -3018,11 +2889,6 @@ def _tfidf_topk(scored: "rd.Dataset", k: int,
     exact (score desc, token asc) tie-break — both tfidf regimes
     converge here."""
 
-    def add_doc_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["db"] = bucket_ids_np(df["doc_id"].to_numpy(), num_buckets)
-        return df
-
     def topk_per_doc(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["doc_id", "tfidf", "token"],
                           ascending=[True, False, True], kind="mergesort")
@@ -3030,12 +2896,7 @@ def _tfidf_topk(scored: "rd.Dataset", k: int,
         out = out.assign(rank=out.groupby("doc_id").cumcount() + 1)
         return out[["doc_id", "rank", "token", "tfidf"]]
 
-    return (
-        scored.map_batches(add_doc_bucket, batch_format="pandas",
-                           batch_size=65536)
-        .groupby("db")
-        .map_groups(topk_per_doc, batch_format="pandas")
-    )
+    return bucket_groups(scored, "doc_id", topk_per_doc, num_buckets)
 
 
 def sample_weighted(sf_dir: str, k: int = 50, seed: int = 0) -> "rd.Dataset":
@@ -3210,25 +3071,21 @@ def pack_documents(sf_dir: str, seq_tokens: int = 512,
 
     def counts(df: pd.DataFrame) -> pd.DataFrame:
         n = df["text"].map(token_count).astype("int64")
-        out = pd.DataFrame({"doc_id": df["doc_id"], "n_tokens": n})
-        out["b"] = bucket_ids_np(out["doc_id"].to_numpy(), num_buckets)
-        return out
+        return pd.DataFrame({"doc_id": df["doc_id"], "n_tokens": n})
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("doc_id", kind="mergesort")
         seq = pack_greedy(g["n_tokens"].to_numpy(), seq_tokens)
-        b = int(g["b"].iloc[0])
+        b = int(g[BUCKET_COL].iloc[0])
         return pd.DataFrame({
             "doc_id": g["doc_id"].astype("int64"),
             "seq_id": (np.int64(b) * np.int64(1 << 32) + seq),
             "n_tokens": g["n_tokens"].astype("int64"),
         })
 
-    return (
-        ds.map_batches(counts, batch_format="pandas", batch_size=65536)
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return bucket_groups(
+        ds.map_batches(counts, batch_format="pandas", batch_size=65536),
+        "doc_id", per_bucket, num_buckets)
 
 
 def shuffle_documents(sf_dir: str, seed: int = 0) -> "rd.Dataset":
@@ -3393,10 +3250,8 @@ def top_tokens(sf_dir: str, k: int = 50, num_buckets: int = 32) -> "rd.Dataset":
         for t in df["text"]:
             toks.extend(_ASCII_TOKEN_RE.findall(t))
         s = pd.Series(toks, dtype="object").value_counts()
-        out = pd.DataFrame({"token": s.index.to_numpy(),
-                            "n": s.to_numpy().astype("int64")})
-        out["b"] = bucket_ids_np(out["token"].to_numpy(), num_buckets)
-        return out
+        return pd.DataFrame({"token": s.index.to_numpy(),
+                             "n": s.to_numpy().astype("int64")})
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby("token", as_index=False)["n"].sum()
@@ -3405,9 +3260,9 @@ def top_tokens(sf_dir: str, k: int = 50, num_buckets: int = 32) -> "rd.Dataset":
                                ascending=[False, True]).head(k)
 
     return (
-        ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
+        bucket_groups(
+            ds.map_batches(partial, batch_format="pandas", batch_size=65536),
+            "token", per_bucket, num_buckets)
         .sort(["n", "token"], descending=[True, False])
         .limit(k)
         .select_columns(["token", "n"])
@@ -3488,7 +3343,6 @@ def dedup_exact(sf_dir: str, num_buckets: int = 32) -> "rd.Dataset":
     top_users_by_events)."""
     ds = _pq(sf_dir, "documents", ["doc_id", "text"])
 
-    from ..functions.hashing import bucket_ids
     from ..functions.textstats import content_hash
 
     def partial(t: pa.Table) -> pa.Table:
@@ -3496,8 +3350,7 @@ def dedup_exact(sf_dir: str, num_buckets: int = 32) -> "rd.Dataset":
         df = pa.table({"doc_id": t["doc_id"], "h": h}).to_pandas()
         agg = df.groupby("h", as_index=False).agg(
             doc_id=("doc_id", "min"), n_dups=("doc_id", "size"))
-        out = pa.Table.from_pandas(agg, preserve_index=False)
-        return out.append_column("b", bucket_ids(out["h"], num_buckets))
+        return pa.Table.from_pandas(agg, preserve_index=False)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("h", as_index=False).agg(
@@ -3505,11 +3358,9 @@ def dedup_exact(sf_dir: str, num_buckets: int = 32) -> "rd.Dataset":
         out["n_dups"] = out["n_dups"].astype("int64")
         return out[["doc_id", "n_dups"]]
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return bucket_groups(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        "h", per_bucket, num_buckets)
 
 
 DEDUP_EXACT_SQL = """
@@ -3770,22 +3621,13 @@ def user_value_delta(sf_dir: str, num_buckets: int = 32) -> "rd.Dataset":
     two doubles is a single exact IEEE op — identical both engines."""
     ds = _pq(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["b"] = bucket_ids_np(df["user_id"].to_numpy(), num_buckets)
-        return df
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         g = g.reset_index(drop=True)
         g["delta"] = g["value"] - g.groupby("user_id", sort=False)["value"].shift(1)
         return g[["event_id", "user_id", "ts", "delta"]]
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas", batch_size=65536)
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return bucket_groups(ds, "user_id", per_bucket, num_buckets)
 
 
 USER_VALUE_DELTA_SQL = """
@@ -3813,9 +3655,7 @@ def first_last_event(sf_dir: str, num_buckets: int = 32) -> "rd.Dataset":
             "ts": "last_ts", "event_id": "last_id",
             "event_type": "last_type"})
         n = g.size().reset_index(name="n")
-        out = first.merge(last, on="user_id").merge(n, on="user_id")
-        out["b"] = bucket_ids_np(out["user_id"].to_numpy(), num_buckets)
-        return out
+        return first.merge(last, on="user_id").merge(n, on="user_id")
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "first_ts", "first_id"],
@@ -3831,11 +3671,9 @@ def first_last_event(sf_dir: str, num_buckets: int = 32) -> "rd.Dataset":
         out["n"] = out["n"].astype("int64")
         return out[["user_id", "first_type", "last_type", "n"]]
 
-    return (
-        ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return bucket_groups(
+        ds.map_batches(partial, batch_format="pandas", batch_size=65536),
+        "user_id", per_bucket, num_buckets)
 
 
 FIRST_LAST_EVENT_SQL = """
@@ -3858,22 +3696,13 @@ def user_event_paths(sf_dir: str, num_buckets: int = 32) -> "rd.Dataset":
     operator's ordered-concat semantics (SURVEY.md A2)."""
     ds = _pq(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["b"] = bucket_ids_np(df["user_id"].to_numpy(), num_buckets)
-        return df
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         out = g.groupby("user_id", sort=False).agg(
             path=("event_type", ">".join)).reset_index()
         return out[["user_id", "path"]]
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas", batch_size=65536)
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return bucket_groups(ds, "user_id", per_bucket, num_buckets)
 
 
 USER_EVENT_PATHS_SQL = """
@@ -3891,11 +3720,6 @@ def rolling_max_value(sf_dir: str, window: int = 10,
     raw doubles round-trip exactly."""
     ds = _pq(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["b"] = bucket_ids_np(df["user_id"].to_numpy(), num_buckets)
-        return df
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         g = g.reset_index(drop=True)
@@ -3905,11 +3729,7 @@ def rolling_max_value(sf_dir: str, window: int = 10,
         )
         return g[["event_id", "user_id", "ts", "rolling_max"]]
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas", batch_size=65536)
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return bucket_groups(ds, "user_id", per_bucket, num_buckets)
 
 
 ROLLING_MAX_SQL = """
@@ -4025,7 +3845,6 @@ def corpus_prep(sf_dir: str, num_buckets: int = 32) -> "rd.Dataset":
     the shuffle moves one row per distinct surviving text per batch."""
     ds = _pq(sf_dir, "documents", ["doc_id", "text"])
 
-    from ..functions.hashing import bucket_ids
     from ..functions.textstats import content_hash
 
     punct = r"[!-/:-@\[-`{-~]"
@@ -4043,8 +3862,7 @@ def corpus_prep(sf_dir: str, num_buckets: int = 32) -> "rd.Dataset":
                .groupby("h", as_index=False)
                .agg(doc_id=("doc_id", "min"), n_chars=("n_chars", "min"),
                     n_dups=("doc_id", "size")))
-        out = pa.Table.from_pandas(agg, preserve_index=False)
-        return out.append_column("b", bucket_ids(out["h"], num_buckets))
+        return pa.Table.from_pandas(agg, preserve_index=False)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("h", as_index=False).agg(
@@ -4054,11 +3872,9 @@ def corpus_prep(sf_dir: str, num_buckets: int = 32) -> "rd.Dataset":
         out["n_dups"] = out["n_dups"].astype("int64")
         return out[["doc_id", "n_chars", "n_dups"]]
 
-    return (
-        ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return bucket_groups(
+        ds.map_batches(partial, batch_format="pandas", batch_size=65536),
+        "h", per_bucket, num_buckets)
 
 
 CORPUS_PREP_SQL = r"""

@@ -8,11 +8,11 @@ Block order is never trusted.
 One entry point, ``assemble_conversations_hotaware``, with two scale
 levers:
 
-- **Bucketing**: grouping runs on ``crc32(key) % B`` buckets, not raw
-  conversation ids — one ``map_groups`` call per bucket with vectorized
-  pandas inside, never one UDF call per conversation (millions of tiny
-  groups would pay ~ms of per-group overhead each; see
-  stages/joins.py).
+- **Bucketing**: grouping runs on ``bucket_ids(key, B)`` buckets, not
+  raw conversation ids — every shuffle here is one
+  ``joins.bucket_groups``, one call per bucket with vectorized pandas
+  inside, never one UDF call per conversation (millions of tiny groups
+  would pay ~ms of per-group overhead each; see stages/joins.py).
 - **Salting** (``salt_span``), for the conversations in the hot set
   only: one hot conversation can hold ~half of all turns (FIXTURES.md).
   Phase 1 groups by (conv, salt) where ``salt = turn_idx // span`` —
@@ -30,7 +30,6 @@ from __future__ import annotations
 import pandas as pd
 import pyarrow as pa
 
-from ..functions.hashing import bucket_ids, bucket_ids_np
 from ..functions.scalars import PAGE_SEPARATOR
 
 
@@ -79,22 +78,15 @@ def _assemble_single_phase(per_turn_ds, num_buckets: int,
     pass (one shuffle for both variants)."""
     import functools
 
-    from .joins import coalesce_blocks
+    from .joins import bucket_groups
 
     value_cols = _DUAL_COLS if include_original else _SINGLE_COLS
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column("b", bucket_ids(t["conv_id"], num_buckets))
-
-    return (
+    return bucket_groups(
         per_turn_ds.select_columns(
-            ["conv_id", "turn_idx", "ts"] + [src for src, _ in value_cols])
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .repartition(coalesce_blocks())
-        .groupby("b")
-        .map_groups(functools.partial(_assemble_bucket, value_cols=value_cols),
-                    batch_format="pandas")
-    )
+            ["conv_id", "turn_idx", "ts"] + [src for src, _ in value_cols]),
+        "conv_id",
+        functools.partial(_assemble_bucket, value_cols=value_cols),
+        num_buckets)
 
 
 def assemble_conversations_hotaware(per_turn_ds, hot: set,
@@ -147,30 +139,25 @@ def assemble_conversations_hotaware(per_turn_ds, hot: set,
 
     import pyarrow.compute as pc
 
-    from .joins import coalesce_blocks
+    from .joins import bucket_groups
 
     value_cols = _DUAL_COLS if include_original else _SINGLE_COLS
     ds = per_turn_ds.select_columns(
         ["conv_id", "turn_idx", "ts"] + [src for src, _ in value_cols])
     span = int(salt_span)
 
-    def add_salt_bucket(t: pa.Table) -> pa.Table:
+    def add_salt(t: pa.Table) -> pa.Table:
         is_hot = pc.is_in(t["conv_id"], value_set=ray.get(hot_ref))
         salt_all = pc.divide(pc.cast(t["turn_idx"], pa.int64()),
                              pa.scalar(span, pa.int64()))
-        salt = pc.if_else(is_hot, salt_all, pa.scalar(0, pa.int64()))
-        key = pc.binary_join_element_wise(
-            t["conv_id"], pc.cast(salt, pa.string()), "\x1f")
-        b = bucket_ids(key, num_buckets)
-        return t.append_column("salt", salt).append_column("b", b)
+        return t.append_column(
+            "salt", pc.if_else(is_hot, salt_all, pa.scalar(0, pa.int64())))
 
-    partials = (
-        ds.map_batches(add_salt_bucket, batch_format="pyarrow")
-        .repartition(coalesce_blocks())
-        .groupby("b")
-        .map_groups(functools.partial(_partial_bucket, value_cols=value_cols),
-                    batch_format="pandas")
-    )
+    partials = bucket_groups(
+        ds.map_batches(add_salt, batch_format="pyarrow"),
+        ["conv_id", "salt"],
+        functools.partial(_partial_bucket, value_cols=value_cols),
+        num_buckets)
 
     final_cols = ["conv_id", "n_turns"] + [o for _, o in value_cols]
 
@@ -185,21 +172,14 @@ def assemble_conversations_hotaware(per_turn_ds, hot: set,
         .select(final_cols),
         batch_format="pyarrow")
 
-    hot_buckets = max(8, num_buckets // 4)
-
-    def add_conv_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["b"] = bucket_ids_np(df["conv_id"].to_numpy(), hot_buckets)
-        return df
-
     hot_final = (
-        phase1.map_batches(
-            lambda t: t.filter(t["is_hot"].combine_chunks()),
-            batch_format="pyarrow")
-        .map_batches(add_conv_bucket, batch_format="pandas")
-        .groupby("b")
-        .map_groups(functools.partial(_final_bucket, value_cols=value_cols),
-                    batch_format="pandas")
+        bucket_groups(
+            phase1.map_batches(
+                lambda t: t.filter(t["is_hot"].combine_chunks()),
+                batch_format="pyarrow"),
+            "conv_id",
+            functools.partial(_final_bucket, value_cols=value_cols),
+            max(8, num_buckets // 4))
         # arrow-coerce: the union's other side is Arrow and mixed block
         # types break downstream batching
         .map_batches(lambda t: t.select(final_cols), batch_format="pyarrow")

@@ -130,8 +130,7 @@ def _labels_ds_by_propagation(pairs: "rd.Dataset",
     """
     from ray.data.aggregate import Sum
 
-    from ..functions.hashing import bucket_ids
-    from .joins import cogroup
+    from .joins import bucket_groups, cogroup
 
     def to_edges(t: pa.Table) -> pa.Table:
         # both directions so min labels flow either way along an edge
@@ -149,19 +148,15 @@ def _labels_ds_by_propagation(pairs: "rd.Dataset",
     # per-batch unique -> bucketed distinct (never a driver collect)
     def batch_nodes(t: pa.Table) -> pa.Table:
         u = np.unique(t["node"].to_numpy())
-        out = pa.table({"nbr": pa.array(u, pa.int64())})
-        return out.append_column("nb", bucket_ids(out["nbr"], num_buckets))
+        return pa.table({"nbr": pa.array(u, pa.int64())})
 
     def distinct_self_label(g: pd.DataFrame) -> pd.DataFrame:
         u = g["nbr"].drop_duplicates().astype("int64")
         return pd.DataFrame({"nbr": u, "lbl": u})
 
-    labels = (
-        edges.map_batches(batch_nodes, batch_format="pyarrow")
-        .groupby("nb")
-        .map_groups(distinct_self_label, batch_format="pandas")
-        .materialize()
-    )
+    labels = bucket_groups(
+        edges.map_batches(batch_nodes, batch_format="pyarrow"),
+        "nbr", distinct_self_label, num_buckets).materialize()
 
     def merge(ldf: pd.DataFrame, rdf: pd.DataFrame) -> pd.DataFrame:
         # ldf: edges (node, nbr); rdf: labels (nbr, lbl). Emit each
@@ -172,9 +167,6 @@ def _labels_ds_by_propagation(pairs: "rd.Dataset",
         out = pd.concat([m, own], ignore_index=True)
         out = out.astype({"node": "int64", "lbl": "int64"})
         return out.groupby("node", as_index=False).agg(lbl=("lbl", "min"))
-
-    def add_node_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column("nb", bucket_ids(t["node"], num_buckets))
 
     def re_min(g: pd.DataFrame) -> pd.DataFrame:
         # node cardinality ~ dup-doc count (can be huge): bucketed
@@ -187,18 +179,14 @@ def _labels_ds_by_propagation(pairs: "rd.Dataset",
     prev_sum = None
     converged = False
     for _ in range(max_iters):
-        new_labels = (
+        new_labels = bucket_groups(
             cogroup(
                 edges, labels, on=["nbr"], merge_fn=merge,
                 left_schema=pa.schema([("node", pa.int64()), ("nbr", pa.int64())]),
                 right_schema=pa.schema([("nbr", pa.int64()), ("lbl", pa.int64())]),
                 num_buckets=num_buckets,
-            )
-            .map_batches(add_node_bucket, batch_format="pyarrow")
-            .groupby("nb")
-            .map_groups(re_min, batch_format="pandas")
-            .materialize()
-        )
+            ),
+            "node", re_min, num_buckets).materialize()
         cur_sum = new_labels.aggregate(Sum("lbl", alias_name="s"))["s"]
         labels = new_labels
         if prev_sum is not None and cur_sum == prev_sum:
@@ -372,10 +360,7 @@ def _pairs_dataset(bucket_rows: "rd.Dataset", group_pair_fn,
     they don't re-materialize the stream just to re-count it — each
     dedup run pays exactly one pre-clustering pipeline execution.
     """
-    from ..functions.hashing import bucket_ids
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column("b", bucket_ids(t["band_key"], num_buckets))
+    from .joins import bucket_groups
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["band_key", "doc_id"], kind="mergesort")
@@ -389,15 +374,8 @@ def _pairs_dataset(bucket_rows: "rd.Dataset", group_pair_fn,
         return pd.DataFrame({"a": pd.array(a_out, dtype="int64"),
                              "b": pd.array(b_out, dtype="int64")})
 
-    from .joins import coalesce_blocks
-
-    raw_pairs = (
-        bucket_rows.map_batches(add_bucket, batch_format="pyarrow")
-        .repartition(coalesce_blocks())
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
-
+    raw_pairs = bucket_groups(bucket_rows, "band_key", per_bucket,
+                              num_buckets)
     return _distinct_pairs_ds(raw_pairs, num_buckets)
 
 
@@ -410,11 +388,7 @@ def _distinct_pairs_ds(raw_pairs: "rd.Dataset",
     (Dataset-native — one repartition, no sort shuffle, nothing on the
     driver); above it, a bucketed combine keyed on ``a``. Shared by
     ``_pairs_dataset`` and the incremental path's new-vs-old probe."""
-    from ..functions.hashing import bucket_ids
-    from .joins import coalesce_blocks
-
-    def add_pair_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column("pb", bucket_ids(t["a"], num_buckets))
+    from .joins import bucket_groups
 
     def distinct_pairs(g: pd.DataFrame) -> pd.DataFrame:
         out = g.drop_duplicates(["a", "b"]).sort_values(["a", "b"])
@@ -430,10 +404,7 @@ def _distinct_pairs_ds(raw_pairs: "rd.Dataset",
         return raw_pairs.repartition(1).map_batches(
             distinct_pairs, batch_format="pandas", batch_size=None), n_raw
     return (
-        raw_pairs.map_batches(add_pair_bucket, batch_format="pyarrow")
-        .repartition(coalesce_blocks())
-        .groupby("pb")
-        .map_groups(distinct_pairs, batch_format="pandas")
+        bucket_groups(raw_pairs, "a", distinct_pairs, num_buckets)
         # the sort-based groupby reduce emits SCHEMA-LESS empty blocks
         # for empty partitions; coerce every block to the (a, b) schema
         # so downstream sorts / map_batches never see a degenerate block
@@ -848,8 +819,7 @@ def dedup_spans(sf_dir: str, span_tokens: int = 16,
     and it bounds a boilerplate span that appears in half the corpus to
     ONE shuffled row per input batch instead of one per occurrence.
     """
-    from .joins import cogroup
-    from ..functions.hashing import bucket_ids
+    from .joins import bucket_groups, cogroup
     from ..functions.textstats import split_tokens_expr
 
     ds = _read_docs(sf_dir)
@@ -888,11 +858,10 @@ def dedup_spans(sf_dir: str, span_tokens: int = 16,
                     maintain_order=True)
             .collect()
         )
-        out = spans.to_arrow().cast(pa.schema([
+        return spans.to_arrow().cast(pa.schema([
             ("doc_id", pa.int64()), ("span_idx", pa.int64()),
             ("span", pa.string()), ("h1", pa.uint64()),
             ("h2", pa.uint64())]))
-        return out.append_column("hb", bucket_ids(out["h1"], num_buckets))
 
     def first_per_hash(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["h1", "h2", "doc_id", "span_idx"],
@@ -900,14 +869,9 @@ def dedup_spans(sf_dir: str, span_tokens: int = 16,
         keep = g.drop_duplicates(["h1", "h2"], keep="first")
         return keep[["doc_id", "span_idx", "span"]]
 
-    from .joins import coalesce_blocks
-
-    kept = (
-        ds.map_batches(explode, batch_format="pyarrow", batch_size=4096)
-        .repartition(coalesce_blocks())
-        .groupby("hb")
-        .map_groups(first_per_hash, batch_format="pandas")
-    )
+    kept = bucket_groups(
+        ds.map_batches(explode, batch_format="pyarrow", batch_size=4096),
+        "h1", first_per_hash, num_buckets)
 
     def n_spans(t: pa.Table) -> pa.Table:
         # count_matches, not extract_all: counting tokens must not

@@ -89,7 +89,8 @@ from .dedup import (
     cluster_labels,
 )
 from ..functions.dedup import char_shingles
-from ..functions.hashing import bucket_ids
+from ..functions.hashing import partition_hash_tag
+from .joins import BUCKET_COL, bucket_groups, with_bucket
 
 _BAND_PARTS = 64
 
@@ -106,17 +107,10 @@ def _distinct_ids(ids: "rd.Dataset", num_buckets: int = 64) -> "rd.Dataset":
     an increment whose docs the labels/kept swap already folded —
     without this, `_keep_after_pairs` would emit those docs twice."""
 
-    def add_b(t: pa.Table) -> pa.Table:
-        return t.append_column("b", bucket_ids(t["doc_id"], num_buckets))
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         return g[["doc_id"]].drop_duplicates()
 
-    return (
-        ids.map_batches(add_b, batch_format="pyarrow")
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return bucket_groups(ids, "doc_id", per_bucket, num_buckets)
 
 
 def _labels_as_edges(labels: "rd.Dataset") -> "rd.Dataset":
@@ -154,12 +148,8 @@ def _write_bands(bands: "rd.Dataset", bands_dir: str,
     partition's files carry sorted band_key row groups — the one-time
     all-to-all that makes every later probe a pruned read (the
     build_ivf_index trade)."""
-
-    def add_bb(t: pa.Table) -> pa.Table:
-        return t.append_column("bb", bucket_ids(t["band_key"], num_parts))
-
     os.makedirs(bands_dir, exist_ok=True)
-    bands.map_batches(add_bb, batch_format="pyarrow") \
+    with_bucket(bands, "band_key", num_parts, "bb") \
         .sort(["bb", "band_key"]) \
         .write_parquet(bands_dir, partition_cols=["bb"])
 
@@ -210,6 +200,21 @@ def _swap_in(final: str, staged: str = ".next") -> None:
     os.rename(final, retired)
     os.rename(final + staged, final)
     shutil.rmtree(retired)
+
+
+def _load_meta(index_dir: str) -> dict:
+    """An index's meta.json, refused when its partitions were hashed by
+    another ``bucket_ids`` build: a probe would read the wrong
+    partition and miss every old duplicate without an error."""
+    with open(os.path.join(index_dir, "meta.json")) as f:
+        meta = json.load(f)
+    built = meta.get("partition_hash")
+    if built != partition_hash_tag():
+        raise ValueError(
+            f"index built with {built or 'an untagged partition hash'}; "
+            f"this process hashes partitions with {partition_hash_tag()}; "
+            f"rebuild {index_dir}")
+    return meta
 
 
 def _save_meta_atomic(index_dir: str, meta: dict) -> None:
@@ -367,6 +372,7 @@ def build_dedup_index(sf_dir: str, index_dir: str, threshold: float = 0.8,
         json.dump({"seed": seed, "bands": _BANDS, "n_perm": _N_PERM,
                    "threshold": threshold,
                    "num_band_parts": num_band_parts,
+                   "partition_hash": partition_hash_tag(),
                    "doc_paths": [os.path.abspath(
                        os.path.join(sf_dir, "documents.parquet"))]}, f)
     if os.path.isdir(index_dir):
@@ -382,15 +388,12 @@ def _probe_band_index(new_bands: "rd.Dataset", bands_dir: str,
     pruning via the sorted write). Emits (min, max)-oriented pairs so
     the cross-band distinct combine can dedupe them."""
 
-    def add_bb(t: pa.Table) -> pa.Table:
-        return t.append_column("bb", bucket_ids(t["band_key"], num_parts))
-
     def probe(g: pd.DataFrame) -> pd.DataFrame:
         import pyarrow.parquet as pq
 
         empty = pd.DataFrame({"a": pd.Series([], dtype="int64"),
                               "b": pd.Series([], dtype="int64")})
-        part = os.path.join(bands_dir, f"bb={int(g['bb'].iloc[0])}")
+        part = os.path.join(bands_dir, f"bb={int(g[BUCKET_COL].iloc[0])}")
         if not os.path.isdir(part):
             return empty
         # list files explicitly: a partition emptied by the crash-heal
@@ -417,15 +420,8 @@ def _probe_band_index(new_bands: "rd.Dataset", bands_dir: str,
         return pd.DataFrame({"a": pd.Series(lo, dtype="int64"),
                              "b": pd.Series(hi, dtype="int64")})
 
-    from .joins import coalesce_blocks
-
-    return (
-        new_bands.map_batches(add_bb, batch_format="pyarrow")
-        .repartition(coalesce_blocks())
-        .groupby("bb")
-        .map_groups(probe, batch_format="pandas")
+    return bucket_groups(new_bands, "band_key", probe, num_parts) \
         .map_batches(_ensure_pair_schema, batch_format="pyarrow")
-    )
 
 
 def dedup_minhash_incremental(new_dir: str, index_dir: str,
@@ -436,8 +432,7 @@ def dedup_minhash_incremental(new_dir: str, index_dir: str,
     set a from-scratch ``dedup_minhash`` over the concatenated corpus
     returns. ``update_index=True`` folds the increment back into the
     index so further increments chain."""
-    with open(os.path.join(index_dir, "meta.json")) as f:
-        meta = json.load(f)
+    meta = _load_meta(index_dir)
     seed, threshold = meta["seed"], meta["threshold"]
     num_parts = meta["num_band_parts"]
     new_doc_path = os.path.abspath(
@@ -553,14 +548,15 @@ def _exact_minima(docs_dir: str, num_parts: int) -> "rd.Dataset":
         df = pa.table({"doc_id": t["doc_id"], "h": h}).to_pandas()
         agg = df.groupby("h", as_index=False).agg(
             doc_id=("doc_id", "min"), n_dups=("doc_id", "size"))
-        out = pa.Table.from_pandas(agg, preserve_index=False)
-        return out.append_column("hb", bucket_ids(out["h"], num_parts))
+        return pa.Table.from_pandas(agg, preserve_index=False)
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .groupby("hb")
-        .map_groups(_merge_lsm_rows, batch_format="pandas")
-    )
+    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        # the bucket id IS the persisted hb partition
+        return _merge_lsm_rows(g.rename(columns={BUCKET_COL: "hb"}))
+
+    return bucket_groups(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        "h", per_bucket, num_parts)
 
 
 def _append_exact_rows(minima: "rd.Dataset", data_dir: str,
@@ -583,6 +579,7 @@ def build_exact_index(sf_dir: str, index_dir: str,
                        os.path.join(tmp, "data"), num_parts)
     with open(os.path.join(tmp, "meta.json"), "w") as f:
         json.dump({"num_parts": num_parts,
+                   "partition_hash": partition_hash_tag(),
                    "doc_paths": [os.path.abspath(
                        os.path.join(sf_dir, "documents.parquet"))]}, f)
     if os.path.isdir(index_dir):
@@ -604,8 +601,7 @@ def dedup_exact_incremental(new_dir: str, index_dir: str,
     existing file rewritten — so increments chain and
     ``exact_index_kept`` over the updated index equals a from-scratch
     ``dedup_exact`` on the concatenated corpus."""
-    with open(os.path.join(index_dir, "meta.json")) as f:
-        meta = json.load(f)
+    meta = _load_meta(index_dir)
     num_parts = meta["num_parts"]
     new_doc_path = os.path.abspath(
         os.path.join(new_dir, "documents.parquet"))
@@ -623,7 +619,7 @@ def dedup_exact_incremental(new_dir: str, index_dir: str,
     def probe(g: pd.DataFrame) -> pd.DataFrame:
         import pyarrow.parquet as pq
 
-        part = os.path.join(data_dir, f"hb={int(g['hb'].iloc[0])}")
+        part = os.path.join(data_dir, f"hb={int(g[BUCKET_COL].iloc[0])}")
         old = None
         # list files explicitly: a partition emptied by the crash-heal
         # purge (its only file was tagged) reads as an empty-schema
@@ -665,8 +661,6 @@ def dedup_exact_incremental(new_dir: str, index_dir: str,
                     pd.Series(evict_mask), pd.NA),
         })
 
-    from .joins import coalesce_blocks
-
     delta_schema = pa.schema([("doc_id", pa.int64()),
                               ("n_dups", pa.int64()),
                               ("evicted_doc_id", pa.int64())])
@@ -677,9 +671,7 @@ def dedup_exact_incremental(new_dir: str, index_dir: str,
         return t.select([f.name for f in delta_schema]).cast(delta_schema)
 
     delta = (
-        minima.repartition(coalesce_blocks())
-        .groupby("hb")
-        .map_groups(probe, batch_format="pandas")
+        bucket_groups(minima, "h", probe, num_parts)
         .map_batches(pin_schema, batch_format="pyarrow")
     ).materialize()  # probe reads must finish BEFORE the append below
 
@@ -813,6 +805,7 @@ def build_embdedup_index(sf_dir: str, index_dir: str,
                    "planes_per_band": planes_per_band, "seed": seed,
                    "threshold": threshold,
                    "num_band_parts": num_band_parts,
+                   "partition_hash": partition_hash_tag(),
                    "emb_paths": [os.path.abspath(emb_path)]}, f)
     if os.path.isdir(index_dir):
         shutil.rmtree(index_dir)
@@ -837,8 +830,7 @@ def neardup_embedding_incremental(new_dir: str, index_dir: str,
         _verify_cosine_ds,
     )
 
-    with open(os.path.join(index_dir, "meta.json")) as f:
-        meta = json.load(f)
+    meta = _load_meta(index_dir)
     num_parts = meta["num_band_parts"]
     planes_path = os.path.join(index_dir, "planes.npy")
     if not os.path.exists(planes_path):

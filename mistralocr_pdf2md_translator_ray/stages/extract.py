@@ -116,23 +116,6 @@ def finalize_with_children(batch: pa.Table,
                    batch["children_json"].to_pylist(), emit_original)
 
 
-def build_child_rows(child_df):
-    """Reduce child rows to one (conv_id, turn_idx, children_json) row
-    per turn — the deterministic JSON map the cogroup merge builds;
-    runs inside cluster buckets for the broadcast join's small side."""
-    child_df = child_df.sort_values(["conv_id", "turn_idx", "payload_id"],
-                                    kind="mergesort")
-    agg = (
-        child_df.groupby(["conv_id", "turn_idx"], sort=False)
-        .apply(lambda g: json.dumps(dict(zip(g["payload_id"], g["extracted"])),
-                                    ensure_ascii=False, sort_keys=True),
-               include_groups=False)
-        .rename("children_json")
-        .reset_index()
-    )
-    return agg[["conv_id", "turn_idx", "children_json"]]
-
-
 #: (ObjectRef hex, child map) of the last map this worker process
 #: fetched. One entry: each ``extract_turns`` call brings a new ref, so
 #: a new call evicts the old map instead of serving it.

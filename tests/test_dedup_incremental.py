@@ -685,3 +685,63 @@ class TestFoldGenerationHeal:
         got = _kept(di.dedup_minhash_incremental(b, idx, update_index=True))
         assert got == _kept(dedup_minhash(concat))
         assert not os.path.exists(os.path.join(idx, "_folding.json"))
+
+
+class TestPartitionHashTag:
+    """The band and exact indexes partition their files on
+    ``bucket_ids`` (polars' seeded hash, not stable across polars
+    versions). meta.json records the hash build, and an increment from
+    another build is refused: its probes would read the wrong
+    partitions and miss old duplicates without an error."""
+
+    def test_builds_record_the_tag(self, tmp_path, ray_session):
+        import json as _json
+
+        from mistralocr_pdf2md_translator_ray.functions.hashing import (
+            partition_hash_tag,
+        )
+        from mistralocr_pdf2md_translator_ray.stages.dedup_incremental import (
+            build_dedup_index,
+            build_exact_index,
+        )
+
+        old = _mkcorpus(tmp_path, "t_old", [(1, BASE), (2, OTHER)])
+        for build, name in ((build_exact_index, "x"),
+                            (build_dedup_index, "m")):
+            idx = str(tmp_path / name)
+            build(old, idx)
+            meta = _json.load(open(os.path.join(idx, "meta.json")))
+            assert meta["partition_hash"] == partition_hash_tag()
+            assert partition_hash_tag().startswith("polars-")
+
+    @pytest.mark.parametrize("tag", ["polars-0.0.0", None])
+    def test_other_hash_build_is_refused(self, tmp_path, ray_session,
+                                         monkeypatch, tag):
+        import json as _json
+
+        from mistralocr_pdf2md_translator_ray.stages import dedup_incremental as di
+
+        old = _mkcorpus(tmp_path, "r_old", [(1, BASE), (2, OTHER)])
+        new = _mkcorpus(tmp_path, "r_new", [(3, BASE), (4, THIRD)])
+        idx = str(tmp_path / "r_idx")
+        if tag is None:
+            # an index written before the tag existed
+            di.build_exact_index(old, idx)
+            meta_p = os.path.join(idx, "meta.json")
+            meta = _json.load(open(meta_p))
+            del meta["partition_hash"]
+            _json.dump(meta, open(meta_p, "w"))
+        else:
+            # built under another polars version
+            monkeypatch.setattr(di, "partition_hash_tag", lambda: tag)
+            di.build_exact_index(old, idx)
+            monkeypatch.undo()
+        before = sorted(os.listdir(os.path.join(idx, "data")))
+        with pytest.raises(ValueError, match=f"rebuild {idx}"):
+            di.dedup_exact_incremental(new, idx)
+        # refused before any probe or append touched the index
+        assert sorted(os.listdir(os.path.join(idx, "data"))) == before
+        with pytest.raises(ValueError, match="index built with"):
+            di.dedup_minhash_incremental(new, idx)
+        with pytest.raises(ValueError, match="index built with"):
+            di.neardup_embedding_incremental(new, idx)
