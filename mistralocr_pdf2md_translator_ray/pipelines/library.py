@@ -1583,6 +1583,10 @@ FROM events
 """
 
 
+def _clicks_and_purchases(df: pd.DataFrame) -> pd.DataFrame:
+    return df[df["event_type"].isin(("purchase", "click"))]
+
+
 def asof_purchase_click(sf_dir: str) -> "rd.Dataset":
     """As-of join: for each purchase, the user's most recent click at or
     before it. Bucketed by user hash; inside a bucket one vectorized
@@ -1591,9 +1595,6 @@ def asof_purchase_click(sf_dir: str) -> "rd.Dataset":
     bucket groupby)."""
     ds = _pq(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
     num_buckets = 32
-
-    def clicks_and_purchases(df: pd.DataFrame) -> pd.DataFrame:
-        return df[df["event_type"].isin(("purchase", "click"))]
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         p = (g[g["event_type"] == "purchase"]
@@ -1616,7 +1617,7 @@ def asof_purchase_click(sf_dir: str) -> "rd.Dataset":
         return merged[["event_id", "user_id", "ts", "last_click_ts"]]
 
     return bucket_groups(
-        ds.map_batches(clicks_and_purchases, batch_format="pandas",
+        ds.map_batches(_clicks_and_purchases, batch_format="pandas",
                        batch_size=65536),
         "user_id", per_bucket, num_buckets)
 
@@ -2200,9 +2201,6 @@ def clicks_before_purchase(sf_dir: str, window_min: int = 60,
     ds = _pq(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
     window = pd.Timedelta(minutes=window_min)
 
-    def clicks_and_purchases(df: pd.DataFrame) -> pd.DataFrame:
-        return df[df["event_type"].isin(("purchase", "click"))]
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         p = g[g["event_type"] == "purchase"].sort_values("ts", kind="mergesort")
         c = g[g["event_type"] == "click"].sort_values("ts", kind="mergesort")
@@ -2234,7 +2232,7 @@ def clicks_before_purchase(sf_dir: str, window_min: int = 60,
         return m[["event_id", "user_id", "ts", "n_clicks"]]
 
     return bucket_groups(
-        ds.map_batches(clicks_and_purchases, batch_format="pandas",
+        ds.map_batches(_clicks_and_purchases, batch_format="pandas",
                        batch_size=65536),
         "user_id", per_bucket, num_buckets)
 
