@@ -3,10 +3,14 @@
 Runs the headline extraction pipeline over a deterministic synthetic
 transcript corpus (cached under /tmp, shared by both scaling runs) plus
 the library queries over ``$GRAFT_SF_DIR`` (default
-``/root/testdata/sf0.1``), and prints ONE JSON line::
+``/root/testdata/sf0.1``). The full record, every query wall included,
+goes to ``$GRAFT_BENCH_RECORD`` (default ``bench_record_<N>cpu.json``
+beside this file). The last stdout line is a JSON summary kept under
+``SUMMARY_MAX_CHARS`` so a capture of the output's tail still parses::
 
     {"metric": "...", "value": <headline sec>, "unit": "sec",
-     "queries": {...}, "sf": ..., "num_cpus": N, ...}
+     "turns_per_sec": ..., "effective_cores_before": ...,
+     "slowest_queries": {<10 slowest>}, "record": <path>, ...}
 
 ``bench.py --scaling`` re-runs the whole thing in two fresh processes
 (``RAY_GRAFT_CPUS=8`` then ``32``) on the same input and reports both
@@ -28,6 +32,11 @@ CORPUS_DIR = os.environ.get("GRAFT_CORPUS_DIR", "/tmp/graft_bench_corpus3")
 CORPUS_SHARDS = 48
 CORPUS_TURNS_PER_SHARD = 30_000
 HEADLINE_ONLY = os.environ.get("GRAFT_HEADLINE_ONLY", "") == "1"
+RECORD_PATH = os.environ.get("GRAFT_BENCH_RECORD", os.path.join(
+    os.path.dirname(os.path.abspath(__file__)),
+    f"bench_record_{NUM_CPUS}cpu.json"))
+SUMMARY_MAX_CHARS = 1500
+N_SLOWEST = 10
 
 
 def _ensure_corpus() -> tuple[str, str]:
@@ -293,6 +302,30 @@ def _run_library_queries(timed, t_dir: str, p_dir: str) -> None:
           lambda: _entry.queries()["neardup_embedding_incremental"](SF_DIR))
 
 
+def summarize(record: dict, path: str) -> dict:
+    """The last stdout line of a bench run: the headline, the
+    effective-core probe and the slowest query walls from ``record``
+    (written whole to ``path``). Fewer queries are listed if the line
+    would pass ``SUMMARY_MAX_CHARS``."""
+    walls = {k: v for k, v in record.get("queries", {}).items()
+             if k != "extract_turns"}
+    head = {k: v for k, v in record.items() if k != "queries"}
+    head.update(n_queries=len(walls), record=path)
+    slowest = sorted(walls, key=lambda k: (-walls[k], k))
+    for n in range(N_SLOWEST, -1, -1):
+        out = dict(head, slowest_queries={k: walls[k]
+                                          for k in slowest[:n]})
+        if len(json.dumps(out)) < SUMMARY_MAX_CHARS:
+            return out
+    return head
+
+
+def _emit(record: dict) -> None:
+    with open(RECORD_PATH, "w") as f:
+        json.dump(record, f, indent=1)
+    print(json.dumps(summarize(record, RECORD_PATH)))
+
+
 def _burn(_):
     t0 = time.perf_counter()
     x = 0
@@ -402,4 +435,4 @@ if __name__ == "__main__":
     elif "--skew" in sys.argv:
         print(json.dumps(run_skew()))
     else:
-        print(json.dumps(run_bench()))
+        _emit(run_bench())

@@ -63,13 +63,27 @@ def _stage_dir(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def _done(d: str) -> bool:
-    return os.path.exists(os.path.join(d, _SUCCESS))
+def _marker(d: str) -> dict | None:
+    """The stage's ``_SUCCESS`` record, or None while the stage is not
+    done. A marker that does not parse (a crash mid-write left it
+    empty or cut) counts as not done, so resume reruns the stage."""
+    try:
+        with open(os.path.join(d, _SUCCESS), encoding="utf-8") as f:
+            return json.load(f)
+    except (FileNotFoundError, ValueError):
+        return None
 
 
-def _mark(d: str, meta: dict) -> None:
-    with open(os.path.join(d, _SUCCESS), "w", encoding="utf-8") as f:
+def _mark(d: str, meta: dict) -> dict:
+    """Close a stage: fsync'd tmp + ``os.replace``, so neither a crash
+    nor a power loss can leave a partial marker. Returns ``meta``."""
+    path = os.path.join(d, _SUCCESS)
+    with open(path + ".tmp", "w", encoding="utf-8") as f:
         json.dump(meta, f)
+        f.flush()
+        os.fsync(f.fileno())
+    os.replace(path + ".tmp", path)
+    return meta
 
 
 def _stage_fingerprint(stage_dir: str) -> str:
@@ -166,7 +180,7 @@ def curate_corpus(sf_dir: str, out_dir: str, span_tokens: int = 16,
                   seq_tokens: int = 512, seed: int = 0,
                   embed_dim: int | None = None) -> dict:
     """Run (or resume) the staged curation job; returns the manifest
-    {stage: row_count}. Completed stages (``_SUCCESS`` present) are
+    {stage: row_count}. Completed stages (a ``_SUCCESS`` that parses) are
     skipped without re-reading their inputs; an INCOMPLETE stage
     resumes at partition granularity from its lineage manifest.
     ``embed_dim`` adds the optional text->embedding stage
@@ -184,7 +198,8 @@ def curate_corpus(sf_dir: str, out_dir: str, span_tokens: int = 16,
 
     # ---- stage 1: PII scrub (row-local -> true partition resume) -----
     d1 = _stage_dir(out_dir, "scrub")
-    if not _done(d1):
+    meta = _marker(d1)
+    if meta is None:
         def scrub(pending: "rd.Dataset") -> "rd.Dataset":
             red = pending.map_batches(
                 RedactActor, batch_format="pyarrow", batch_size=4096,
@@ -199,13 +214,13 @@ def curate_corpus(sf_dir: str, out_dir: str, span_tokens: int = 16,
                               columns=["doc_id", "text"])
         n = _ckpt_stage(src, scrub, d1, ["doc_id", "text"],
                         f"scrub:{os.path.abspath(sf_dir)}")
-        _mark(d1, {"rows": n})
-    manifest["scrub"] = json.load(
-        open(os.path.join(d1, _SUCCESS), encoding="utf-8"))["rows"]
+        meta = _mark(d1, {"rows": n})
+    manifest["scrub"] = meta["rows"]
 
     # ---- stage 2: near-dup removal -----------------------------------
     d2 = _stage_dir(out_dir, "dedup")
-    if not _done(d2):
+    meta = _marker(d2)
+    if meta is None:
         def dedup_stage(pending: "rd.Dataset") -> "rd.Dataset":
             # kept set is a GLOBAL deterministic compute over d1; the
             # semi-join against it runs on the pending subset only
@@ -219,13 +234,13 @@ def curate_corpus(sf_dir: str, out_dir: str, span_tokens: int = 16,
         n = _ckpt_stage(src=_docs(d1), transform=dedup_stage,
                         stage_dir=d2, hash_cols=["doc_id", "text"],
                         input_fragment=f"dedup:{_stage_fingerprint(d1)}")
-        _mark(d2, {"rows": n})
-    manifest["dedup"] = json.load(
-        open(os.path.join(d2, _SUCCESS), encoding="utf-8"))["rows"]
+        meta = _mark(d2, {"rows": n})
+    manifest["dedup"] = meta["rows"]
 
     # ---- stage 3: sub-document span dedup ----------------------------
     d3 = _stage_dir(out_dir, "spans")
-    if not _done(d3):
+    meta = _marker(d3)
+    if meta is None:
         def spans_stage(pending: "rd.Dataset",
                         missing: set[int]) -> "rd.Dataset":
             # span winners are corpus-global: recompute the (determin-
@@ -242,13 +257,13 @@ def curate_corpus(sf_dir: str, out_dir: str, span_tokens: int = 16,
             src=_docs(d2), transform=spans_stage, stage_dir=d3,
             hash_cols=["doc_id", "text"],
             input_fragment=f"spans:{span_tokens}:{_stage_fingerprint(d2)}")
-        _mark(d3, {"rows": n})
-    manifest["spans"] = json.load(
-        open(os.path.join(d3, _SUCCESS), encoding="utf-8"))["rows"]
+        meta = _mark(d3, {"rows": n})
+    manifest["spans"] = meta["rows"]
 
     # ---- stage 4: deterministic order + packing manifest -------------
     d4 = _stage_dir(out_dir, "order")
-    if not _done(d4):
+    meta4 = _marker(d4)
+    if meta4 is None:
         def order_stage(pending: "rd.Dataset",
                         missing: set[int]) -> "rd.Dataset":
             # shuffle_key is a pure function of (doc_id, seed); the
@@ -264,8 +279,7 @@ def curate_corpus(sf_dir: str, out_dir: str, span_tokens: int = 16,
         n_seq = _write_documents(
             lib.pack_documents(d3, seq_tokens=seq_tokens), d4,
             filename="packing.parquet")
-        _mark(d4, {"rows": n, "sequences": n_seq})
-    meta4 = json.load(open(os.path.join(d4, _SUCCESS), encoding="utf-8"))
+        meta4 = _mark(d4, {"rows": n, "sequences": n_seq})
     manifest["order"] = meta4["rows"]
     manifest["sequences"] = meta4.get("sequences", 0)
 
@@ -274,7 +288,8 @@ def curate_corpus(sf_dir: str, out_dir: str, span_tokens: int = 16,
         from ..stages.embed import HashedNgramEmbedder
 
         d5 = _stage_dir(out_dir, "embed")
-        if not _done(d5):
+        meta = _marker(d5)
+        if meta is None:
             def embed_stage(pending: "rd.Dataset") -> "rd.Dataset":
                 emb = pending.map_batches(
                     HashedNgramEmbedder,
@@ -291,9 +306,8 @@ def curate_corpus(sf_dir: str, out_dir: str, span_tokens: int = 16,
                 input_fragment=(f"embed:{embed_dim}:{seed}:"
                                 f"{_stage_fingerprint(d4)}"),
                 data_name="embeddings.parquet")
-            _mark(d5, {"rows": n})
-        manifest["embed"] = json.load(
-            open(os.path.join(d5, _SUCCESS), encoding="utf-8"))["rows"]
+            meta = _mark(d5, {"rows": n})
+        manifest["embed"] = meta["rows"]
     return manifest
 
 
@@ -373,9 +387,9 @@ def curate_increment(new_dir: str, out_dir: str, span_tokens: int = 16,
         with open(os.path.join(inc_dir, "_input.json"), "w",
                   encoding="utf-8") as f:
             json.dump({"doc_path": new_doc_path}, f)
-    if _done(inc_dir):
-        return json.load(open(os.path.join(inc_dir, _SUCCESS),
-                              encoding="utf-8"))
+    done = _marker(inc_dir)
+    if done is not None:
+        return done
 
     manifest: dict[str, int] = {"increment": int(
         os.path.basename(inc_dir).split("=")[1])}
@@ -456,7 +470,7 @@ def curate_evicted(out_dir: str) -> "rd.Dataset":
     shipped_files = [
         os.path.join(dd, f)
         for d in (sorted(os.listdir(incs)) if os.path.isdir(incs) else [])
-        if os.path.exists(os.path.join(incs, d, _SUCCESS))
+        if _marker(os.path.join(incs, d)) is not None
         for dd in [os.path.join(incs, d, "dedup", "documents.parquet")]
         for f in sorted(os.listdir(dd)) if f.endswith(".parquet")
     ]

@@ -41,7 +41,7 @@ import ray
 import ray.data as rd
 
 from ..functions.vectors import list_column_to_matrix, topk_prune
-from ..stages.joins import BUCKET_COL, bucket_groups
+from ..stages.joins import BUCKET_COL, bucket_groups, sorted_blocks
 
 
 def _pq(sf_dir: str, name: str, columns: list[str] | None = None) -> "rd.Dataset":
@@ -399,9 +399,9 @@ def shipping_priority(sf_dir: str, segment: str = "BUILDING",
       fact-scaled at 100 TB — never broadcast there). Both paths
       equality-tested;
     - the second co-group joins lineitem partials to qualified orders
-      AND prunes each bucket to its local top-k (a bucket holds every
-      partial for its orderkeys, so the global top-k is a subset of the
-      per-bucket top-ks) — the final Sort sees <= k rows per bucket.
+      AND prunes each merge call to its local top-k (a call holds
+      every partial for its orderkeys, so the global top-k is a subset
+      of the per-call top-ks) — the final Sort sees <= k rows per call.
 
     Revenue goes through exact integer units (x10000) and back, the
     module's float-sum parity contract."""
@@ -2107,10 +2107,10 @@ def top_users_by_events(sf_dir: str, k: int = 20,
     """Heavy hitters: the k users with the most events.
 
     Partial counts per batch -> bucketed groupby by user hash with
-    TOP-K PUSHDOWN: each bucket sums its users vectorized and emits
-    only its local top k (a bucket holds every partial for its users,
-    so the global top k is a subset of the buckets' local top k).
-    The final sort sees <= k x buckets rows no matter how many
+    TOP-K PUSHDOWN: each call sums its users vectorized and emits
+    only its local top k (a call holds every partial for its users,
+    so the global top k is a subset of the calls' local top k).
+    The final sort sees <= k x calls rows no matter how many
     distinct users exist."""
     ds = _pq(sf_dir, "events", ["user_id"])
 
@@ -2531,7 +2531,7 @@ def funnel_counts(sf_dir: str, steps: tuple = FUNNEL_STEPS,
     # query would return 0 rows, diverging from the SQL oracle's one
     # zero-count row per step) — the seed guarantees every step reaches
     # the combiner
-    # pandas-backed to match the map_groups blocks — the repartition
+    # pandas-backed to match the bucket_groups blocks — the repartition
     # shuffle reduce refuses mixed Arrow/pandas block types in a union
     seed_df = pd.DataFrame({
         "step": pd.Series(range(1, len(steps) + 1), dtype="int64"),
@@ -3071,15 +3071,20 @@ def pack_documents(sf_dir: str, seq_tokens: int = 512,
         n = df["text"].map(token_count).astype("int64")
         return pd.DataFrame({"doc_id": df["doc_id"], "n_tokens": n})
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def pack_bucket(b: int, g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("doc_id", kind="mergesort")
         seq = pack_greedy(g["n_tokens"].to_numpy(), seq_tokens)
-        b = int(g[BUCKET_COL].iloc[0])
         return pd.DataFrame({
             "doc_id": g["doc_id"].astype("int64"),
             "seq_id": (np.int64(b) * np.int64(1 << 32) + seq),
             "n_tokens": g["n_tokens"].astype("int64"),
         })
+
+    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        # a call can hold several buckets; packing is per bucket
+        return pd.concat([pack_bucket(int(b), gb) for b, gb in
+                          g.groupby(BUCKET_COL, sort=False)],
+                         ignore_index=True)
 
     return bucket_groups(
         ds.map_batches(counts, batch_format="pandas", batch_size=65536),
@@ -3236,9 +3241,9 @@ def top_tokens(sf_dir: str, k: int = 50, num_buckets: int = 32) -> "rd.Dataset":
     """Corpus vocabulary heavy hitters: the k most frequent ASCII-word
     tokens across all documents. Per-batch tokenize + value_counts
     partials -> bucketed combine by token hash with TOP-K PUSHDOWN
-    (a bucket holds every partial for its tokens, so the global top k
-    is a subset of the buckets' local top k) -> tiny global sort over
-    <= k x buckets rows. The token class is explicit ASCII so Python re
+    (a call holds every partial for its tokens, so the global top k
+    is a subset of the calls' local top k) -> tiny global sort over
+    <= k x calls rows. The token class is explicit ASCII so Python re
     and DuckDB RE2 agree; (count desc, token asc) is a total order, so
     the cut row set is deterministic on both sides."""
     ds = _pq(sf_dir, "documents", ["text"])
@@ -3561,20 +3566,18 @@ def knn_cosine_multi(sf_dir: str, k: int = 10, n_queries: int = 8) -> "rd.Datase
         })
 
     def per_query_head(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["score_raw", "vec_id"],
-                          ascending=[False, True]).head(k)
+        g = g.sort_values(["query_id", "score_raw", "vec_id"],
+                          ascending=[True, False, True]) \
+            .groupby("query_id", sort=False).head(k)
         return pd.DataFrame({
             "query_id": g["query_id"].astype("int64"),
             "vec_id": g["vec_id"].astype("int64"),
             "score": np.round(g["score_raw"].to_numpy(), 3),
         })
 
-    # n_queries groups total (tiny) - per-group map_groups is fine here
-    return (
-        ds.map_batches(score, batch_format="pyarrow", batch_size=8192)
-        .groupby("query_id")
-        .map_groups(per_query_head, batch_format="pandas")
-    )
+    return sorted_blocks(
+        ds.map_batches(score, batch_format="pyarrow", batch_size=8192),
+        "query_id", per_query_head)
 
 
 KNN_COSINE_MULTI_SQL = """

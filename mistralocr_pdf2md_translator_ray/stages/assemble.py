@@ -10,9 +10,10 @@ levers:
 
 - **Bucketing**: grouping runs on ``bucket_ids(key, B)`` buckets, not
   raw conversation ids — every shuffle here is one
-  ``joins.bucket_groups``, one call per bucket with vectorized pandas
-  inside, never one UDF call per conversation (millions of tiny groups
-  would pay ~ms of per-group overhead each; see stages/joins.py).
+  ``joins.bucket_groups``, one call per shuffle output block (whole
+  buckets) with vectorized pandas inside, never one UDF call per
+  conversation (millions of tiny groups would pay ~ms of per-group
+  overhead each; see stages/joins.py).
 - **Salting** (``salt_span``), for the conversations in the hot set
   only: one hot conversation can hold ~half of all turns (FIXTURES.md).
   Phase 1 groups by (conv, salt) where ``salt = turn_idx // span`` —

@@ -347,9 +347,10 @@ def _pairs_dataset(bucket_rows: "rd.Dataset", group_pair_fn,
     """band_key rows -> (Dataset of distinct candidate pairs (a, b),
     raw pre-dedupe pair count).
 
-    Groups by ``hash(band_key) % B`` (B map_groups calls total — never
-    one per band, since almost every band bucket has exactly one member
-    and per-group UDF overhead would dominate). Inside a bucket, bands
+    Groups by ``hash(band_key) % B`` through ``bucket_groups`` (one
+    call per shuffle output block, each holding whole buckets — never
+    one per band, since almost every band has exactly one member and
+    per-group UDF overhead would dominate). Inside a bucket, bands
     with >= 2 members are found vectorized; ``group_pair_fn(sub)`` emits
     pairs for one colliding band's rows. The same pair surfaces once per
     colliding band, so a second bucketed combine (keyed on ``a``)

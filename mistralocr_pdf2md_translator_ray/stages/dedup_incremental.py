@@ -40,9 +40,10 @@ and ``dedup_minhash_incremental`` processes ONLY the new shards:
      ``_minhash_band_rows``);
   2. new-vs-new candidates via the standard ``_pairs_dataset``;
   3. new-vs-old candidates by PROBING the band index: new band rows
-     group by the index's partition hash, each group task reads only
-     its own ``bb=`` partition with a ``band_key IN (...)`` pushdown
-     filter — the old corpus is never scanned (reference analog: the
+     group by the index's partition hash, each probe call reads only
+     the ``bb=`` partitions of the buckets it holds, with a
+     ``band_key IN (...)`` pushdown filter — the old corpus is never
+     scanned (reference analog: the
      checkpoint-existence skip semantics, mistralocr_app.py:585-597; Ray
      pattern analog: ``build_ivf_index``/``knn_cosine_ivf_indexed``,
      stages/similarity.py:186,221);
@@ -90,7 +91,7 @@ from .dedup import (
 )
 from ..functions.dedup import char_shingles
 from ..functions.hashing import partition_hash_tag
-from .joins import BUCKET_COL, bucket_groups, with_bucket
+from .joins import BUCKET_COL, bucket_groups, sorted_blocks, with_bucket
 
 _BAND_PARTS = 64
 
@@ -380,27 +381,36 @@ def build_dedup_index(sf_dir: str, index_dir: str, threshold: float = 0.8,
     os.replace(tmp, index_dir)
 
 
+def _partition_files(root: str, col: str, buckets: pd.Series) -> list:
+    """The parquet files of every ``col=<bucket>`` partition named in
+    ``buckets`` (a probe frame can hold several buckets). A key hashes
+    to one bucket, so one filtered read over all of them finds exactly
+    the rows each bucket's own partition would. Files are listed
+    explicitly: a partition emptied by the crash-heal purge reads as an
+    empty-schema dataset, and the key filter would not bind."""
+    files = []
+    for b in np.unique(buckets.to_numpy()):
+        part = os.path.join(root, f"{col}={int(b)}")
+        if os.path.isdir(part):
+            files += [os.path.join(part, f) for f in sorted(os.listdir(part))
+                      if f.endswith(".parquet")]
+    return files
+
+
 def _probe_band_index(new_bands: "rd.Dataset", bands_dir: str,
                       num_parts: int) -> "rd.Dataset":
     """New (band_key, doc_id) rows -> raw new-vs-old candidate (a, b)
-    pairs. Grouped by the index's partition hash; each group task reads
-    ONLY its own partition, filtered to the group's band keys (row-group
-    pruning via the sorted write). Emits (min, max)-oriented pairs so
-    the cross-band distinct combine can dedupe them."""
+    pairs. Grouped by the index's partition hash; each call reads ONLY
+    the partitions of the buckets it holds, filtered to its band keys
+    (row-group pruning via the sorted write). Emits (min, max)-oriented
+    pairs so the cross-band distinct combine can dedupe them."""
 
     def probe(g: pd.DataFrame) -> pd.DataFrame:
         import pyarrow.parquet as pq
 
         empty = pd.DataFrame({"a": pd.Series([], dtype="int64"),
                               "b": pd.Series([], dtype="int64")})
-        part = os.path.join(bands_dir, f"bb={int(g[BUCKET_COL].iloc[0])}")
-        if not os.path.isdir(part):
-            return empty
-        # list files explicitly: a partition emptied by the crash-heal
-        # purge reads as an empty-schema dataset and the filter
-        # wouldn't bind
-        files = [os.path.join(part, f) for f in os.listdir(part)
-                 if f.endswith(".parquet")]
+        files = _partition_files(bands_dir, "bb", g[BUCKET_COL])
         if not files:
             return empty
         keys = g["band_key"].drop_duplicates().tolist()
@@ -595,8 +605,8 @@ def dedup_exact_incremental(new_dir: str, index_dir: str,
     ``(doc_id, n_dups, evicted_doc_id)`` — the merged keeper (min over
     old ∪ new ids), the merged duplicate count, and the old keeper's id
     when the new shard evicted it (else null). The old corpus is never
-    scanned: each hash-bucket group task reads only its own ``hb=``
-    partition filtered to the group's hashes. ``update_index=True``
+    scanned: each probe call reads only the ``hb=`` partitions of the
+    hash buckets it holds, filtered to its hashes. ``update_index=True``
     (default) appends the increment's minima — O(new) bytes, no
     existing file rewritten — so increments chain and
     ``exact_index_kept`` over the updated index equals a from-scratch
@@ -619,13 +629,8 @@ def dedup_exact_incremental(new_dir: str, index_dir: str,
     def probe(g: pd.DataFrame) -> pd.DataFrame:
         import pyarrow.parquet as pq
 
-        part = os.path.join(data_dir, f"hb={int(g[BUCKET_COL].iloc[0])}")
         old = None
-        # list files explicitly: a partition emptied by the crash-heal
-        # purge (its only file was tagged) reads as an empty-schema
-        # dataset, and the h-filter would fail to bind
-        files = [os.path.join(part, f) for f in os.listdir(part)
-                 if f.endswith(".parquet")] if os.path.isdir(part) else []
+        files = _partition_files(data_dir, "hb", g[BUCKET_COL])
         if files:
             keys = g["h"].drop_duplicates().tolist()
             t = pq.read_table(files, columns=["h", "doc_id", "n_dups"],
@@ -691,14 +696,15 @@ def exact_index_kept(index_dir: str) -> "rd.Dataset":
     """Merged view of the index: (doc_id, n_dups) per distinct text —
     bitwise the rows a from-scratch ``dedup_exact`` over every indexed
     corpus returns. The merge is per-``hb``-bucket (the partition
-    column comes back from the hive layout), so no task holds more
-    than one bucket."""
+    column comes back from the hive layout), so a call holds whole
+    ``hb`` buckets; several per call are fine, the merge is keyed by
+    ``h``."""
     ds = rd.read_parquet(_exact_data_dir(index_dir))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         return _merge_lsm_rows(g, keep_hb=False)[["doc_id", "n_dups"]]
 
-    return ds.groupby("hb").map_groups(per_bucket, batch_format="pandas")
+    return sorted_blocks(ds, "hb", per_bucket)
 
 
 def _exact_data_dir(index_dir: str) -> str:
@@ -718,7 +724,7 @@ def exact_index_compact(index_dir: str) -> None:
     without changing the merged content (``exact_index_kept`` before
     == after, pytest-pinned).
 
-    The merge runs DISTRIBUTED (bucketed Ray groupby — no partition
+    The merge runs DISTRIBUTED (a sort on ``hb`` — no partition
     ever concentrates on the driver, matching every other
     corpus-scaled pass here) into a fresh generation dir, then swaps
     generations with two renames. A crash at any point leaves either
@@ -741,9 +747,7 @@ def exact_index_compact(index_dir: str) -> None:
         shutil.rmtree(gen)  # partial previous attempt
 
     (
-        rd.read_parquet(data_dir)
-        .groupby("hb")
-        .map_groups(_merge_lsm_rows, batch_format="pandas")
+        sorted_blocks(rd.read_parquet(data_dir), "hb", _merge_lsm_rows)
         .sort(["hb", "h"])
         .write_parquet(gen, partition_cols=["hb"])
     )

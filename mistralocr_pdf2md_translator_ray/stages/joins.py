@@ -8,15 +8,47 @@ can be starved by map actor pools on small CPU budgets, and its
 shuffle showed high constant overhead.
 
 Pattern here (``bucket_groups``): every row gets
-``_bucket = bucket_ids(key, B)``; a single sort-shuffle groups by the B
-buckets only; inside each bucket ``fn`` runs vectorized pandas over
-thousands of rows. Every keyed shuffle in the package goes through it
-(pinned by tests/test_structure.py); ``cogroup`` tags both sides, unions
-them and runs the merge as one ``bucket_groups``. B bounds the number of
-groups — size it ~2-4x the cluster's cores. Skew note: a hot *key* is
-fine (it stays one bucket's pandas work); if one bucket outgrows
-memory, raise B (keys are hashed, so buckets split evenly in
-expectation).
+``_bucket = bucket_ids(key, B)``; one sort shuffle on that column
+range-partitions the rows, so all rows of a bucket land in the same
+sort output block; ``fn`` runs once per non-empty output block on a
+pandas frame holding every row of each bucket in it — usually several
+buckets. ``fn`` is called as many times as the shuffle has output
+blocks (the input's block count), not B times. Even one call per
+bucket (``groupby(_bucket).map_groups``, the same sort followed by a
+split, an Arrow-to-pandas conversion and a ``fn`` call per bucket) cost
+most of a small query's wall: a profile of ``customer_order_counts``
+on the perfbench ``tables`` input spent ~10 ms in the two sort
+suboperators and 1.18 s in 64 per-bucket calls (~18 ms of pandas
+fixed cost each) for 1,140 rows. Every keyed shuffle in the package
+goes through this helper and groups on stored columns go through
+``sorted_blocks`` (pinned by tests/test_structure.py); ``cogroup`` tags
+both sides, unions them and runs the merge as one ``bucket_groups``.
+``Dataset.sort`` plans Ray's sort shuffle whatever
+``DataContext.shuffle_strategy`` says; ``map_groups`` took the
+hash-aggregator route under HASH_SHUFFLE, which did not finish.
+
+Per-call contract audit (every ``fn`` of the ~45 call sites): each is
+keyed by its own columns (groupby / merge / drop_duplicates / a sort
+led by the key), so a frame with several buckets gives the union of
+the per-bucket results. The three that read the bucket id itself
+handle several per frame: the band and exact-index probes
+(``stages/dedup_incremental.py``) read every partition named in the
+frame in one filtered read, and ``pack_documents`` packs per
+``BUCKET_COL`` group so its ``seq_id``s do not move. The top-k
+pushdowns (``top_users_by_events``, ``top_tokens``,
+``shipping_priority``'s merge) emit a per-call top k, a superset of
+the per-bucket ones the final sort cuts from; ``funnel_counts`` emits
+per-call counts that its combine sums. Skew note: a hot *key* is fine
+(it stays one bucket's pandas work); with N input blocks an output
+block holds ~1/N of the rows, plus whole buckets at its range edges,
+and a call converts the whole block to pandas at once.
+
+Measured, one call per block against one per bucket (perfbench
+``tables``, ``--seconds 8``, 10 alternating pairs, seeds 301-310, Ray at
+2 logical CPUs on a 1-vCPU shared VM, every run correct): ``rows_per_s``
+median 6,337 against 3,573 (better in 10/10 pairs), ``setup_s`` 17.0
+against 22.3 s, ``peak_rss_mb`` 945 against 943 (3 of 10 change runs
+near 997), ``output_mb`` equal.
 
 Width rule: no repartition before the shuffle. Ray's sort shuffle makes
 one output partition per input block, so the input's block count sets
@@ -75,19 +107,36 @@ def with_bucket(ds: "rd.Dataset", key: Union[str, Sequence[str]],
     return ds.map_batches(append, batch_format="pyarrow")
 
 
+def sorted_blocks(ds: "rd.Dataset", col: str,
+                  fn: Callable[[pd.DataFrame], pd.DataFrame]
+                  ) -> "rd.Dataset":
+    """Sort ``ds`` on ``col`` and run ``fn`` once per non-empty sort
+    output block, as pandas. The sort range-partitions on ``col``, so
+    every row of one ``col`` value lands in the same block; a block can
+    hold many values. This is Ray's ``map_groups`` without its
+    per-group split-and-convert loop, and ``Dataset.sort`` plans the
+    sort shuffle whatever ``DataContext.shuffle_strategy`` says."""
+
+    def per_block(df: pd.DataFrame):
+        if len(df):
+            yield fn(df)
+
+    per_block.__name__ = getattr(fn, "__name__", "per_block")
+    return ds.sort(col).map_batches(per_block, batch_format="pandas",
+                                    batch_size=None)
+
+
 def bucket_groups(ds: "rd.Dataset", key: Union[str, Sequence[str]],
                   fn: Callable[[pd.DataFrame], pd.DataFrame],
                   num_buckets: int) -> "rd.Dataset":
     """Group ``ds`` by ``bucket_ids(key, num_buckets)`` and run ``fn``
-    once per bucket on a pandas frame holding every row of the bucket's
-    keys. ``key`` is a column or a list of columns. The frame carries
-    the bucket id in ``BUCKET_COL`` (the persisted-index probes read it
-    to find their partition); ``fn`` must not return that column."""
-    return (
-        with_bucket(ds, key, num_buckets)
-        .groupby(BUCKET_COL)
-        .map_groups(fn, batch_format="pandas")
-    )
+    once per shuffle output block on a pandas frame that holds every row
+    of each bucket in it, so every row of each of its keys. A frame can
+    hold several buckets. ``key`` is a column or a list of columns. The
+    frame carries the bucket id in ``BUCKET_COL`` (the persisted-index
+    probes read it to find their partitions); ``fn`` must not return
+    that column."""
+    return sorted_blocks(with_bucket(ds, key, num_buckets), BUCKET_COL, fn)
 
 
 def _tag(ds: "rd.Dataset", schema: pa.Schema, side: int) -> "rd.Dataset":
@@ -119,9 +168,10 @@ def cogroup(
 ) -> "rd.Dataset":
     """Co-partition two Datasets on ``on`` and merge per bucket.
 
-    ``merge_fn(ldf, rdf) -> DataFrame`` receives the bucket's rows from
-    each side (only that side's own columns) and runs vectorized pandas
-    logic (pd.merge / groupby-agg). One shuffle total, B groups.
+    ``merge_fn(ldf, rdf) -> DataFrame`` receives the rows of one or
+    more whole buckets from each side (only that side's own columns)
+    and runs vectorized pandas logic (pd.merge / groupby-agg). One
+    shuffle total, one call per shuffle output block.
     """
     union_fields: dict[str, pa.Field] = {}
     for f in list(left_schema) + list(right_schema):

@@ -91,6 +91,22 @@ class TestCurateCorpus:
         assert m2 == m                      # counts unchanged
         assert not _os.path.exists(stray)   # stale file purged
 
+    def test_truncated_marker_counts_as_not_done(self, run):
+        """A crash mid-write of ``_SUCCESS`` leaves it empty or cut.
+        Resume must rerun that stage, not fail in json.load, and
+        return the from-scratch row counts; the marker is rewritten
+        whole."""
+        import json
+
+        out, m = run
+        marker = os.path.join(out, "dedup", "_SUCCESS")
+        open(marker, "w").close()
+        m2 = curate_corpus(SF, out, span_tokens=8)
+        assert m2 == m
+        with open(marker, encoding="utf-8") as f:
+            assert json.load(f) == {"rows": m["dedup"]}
+        assert not os.path.exists(marker + ".tmp")
+
     def test_partition_granular_resume_within_stage(self, run):
         """Kill-mid-stage semantics: wipe ONE partition's lineage entry
         + data from the scrub stage; resume must recompute only that

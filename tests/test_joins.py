@@ -122,3 +122,103 @@ def test_with_bucket_matches_bucket_ids(ray_session):
         .drop_duplicates("k")
     m = got.merge(exp, on="k")
     assert (m["bb"] == m["bb_exp"]).all()
+
+
+def test_one_call_per_shuffle_block_not_per_bucket(ray_session):
+    """``fn`` runs once per sort output block, and the sort makes one
+    output block per input block: 4 input blocks with 64 buckets give
+    at most 4 calls, so most calls see several bucket ids in one
+    frame. A return to one call per bucket fails here."""
+    from mistralocr_pdf2md_translator_ray.stages.joins import bucket_groups
+
+    t, keys = _table("string")
+    ds = _blocks(t, "arrow")
+    assert ds.num_blocks() == 4
+    got = bucket_groups(ds, "k", _per_key(keys), 64).to_pandas()
+    buckets_per_call = got.groupby("call")["bucket"].nunique()
+    assert len(buckets_per_call) <= 4
+    assert buckets_per_call.max() > 1
+    assert got.groupby("bucket")["call"].nunique().max() == 1
+
+
+def _strategy_case() -> pd.DataFrame:
+    """One ``bucket_groups`` sum and one ``cogroup`` join of a tiny
+    input, as one sorted frame."""
+    from mistralocr_pdf2md_translator_ray.stages.joins import (
+        bucket_groups, cogroup)
+
+    rng = np.random.default_rng(5)
+    t = pa.table({"k": pa.array(rng.integers(0, 50, 300), pa.int64()),
+                  "v": pa.array(rng.integers(0, 100, 300), pa.int64())})
+    u = pa.table({"k": pa.array(np.arange(50), pa.int64()),
+                  "w": pa.array(np.arange(50) * 3, pa.int64())})
+
+    def ds():
+        return rd.from_arrow([t.slice(i, 100) for i in range(0, 300, 100)])
+
+    sums = bucket_groups(
+        ds(), "k", lambda g: g.groupby("k", as_index=False)["v"].sum(), 16)
+    joined = cogroup(
+        ds(), rd.from_arrow(u), on=["k"],
+        merge_fn=lambda l, r: l.merge(r, on="k")[["k", "v", "w"]],
+        left_schema=t.schema, right_schema=u.schema, num_buckets=16)
+    a = sums.to_pandas().assign(part="sums")
+    b = joined.to_pandas().assign(part="joined")
+    return pd.concat([a, b], ignore_index=True)[["part", "k", "v", "w"]] \
+        .sort_values(["part", "k", "v", "w"]).reset_index(drop=True)
+
+
+_HASH_SHUFFLE_SCRIPT = r"""
+import os
+import sys
+
+import ray
+from ray.data import DataContext
+from ray.data.context import ShuffleStrategy
+
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         logging_level="ERROR")
+ctx = DataContext.get_current()
+ctx.enable_progress_bars = False
+ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
+sys.path.insert(0, os.path.join(os.getcwd(), "tests"))
+from test_joins import _strategy_case
+
+_strategy_case().to_parquet(sys.argv[1])
+ray.shutdown()
+"""
+
+
+class TestHashShuffleStrategy:
+    """A session whose ``DataContext.shuffle_strategy`` is HASH_SHUFFLE
+    must get the same groups: the helper sorts, and ``Dataset.sort``
+    plans Ray's sort shuffle whatever the strategy (``map_groups``
+    took the hash-aggregator route there). Runs in its own Ray session
+    in a subprocess; on timeout the whole process group (script,
+    raylet, GCS, workers) is killed so nothing outlives the test."""
+
+    TIMEOUT_S = 120
+
+    def test_hash_shuffle_matches_default(self, tmp_path, ray_session):
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        out = str(tmp_path / "hash.parquet")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _HASH_SHUFFLE_SCRIPT, out],
+            cwd=root, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            start_new_session=True)
+        try:
+            log, _ = proc.communicate(timeout=self.TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("bucket_groups/cogroup under HASH_SHUFFLE did not "
+                        f"finish in {self.TIMEOUT_S} s")
+        assert proc.returncode == 0, log.decode(errors="replace")[-4000:]
+        exp = _strategy_case()
+        assert (exp["part"] == "joined").sum() == 300
+        pd.testing.assert_frame_equal(pd.read_parquet(out), exp)
