@@ -41,7 +41,6 @@ that read it.
 
 from __future__ import annotations
 
-import json
 import os
 
 import pyarrow as pa
@@ -54,6 +53,7 @@ from ..state.checkpoint import (
     load_lineage,
     run_checkpointed,
 )
+from ..state.durable import healed_dir, read_json, write_json
 
 _SUCCESS = "_SUCCESS"
 _N_PARTS = 16
@@ -63,26 +63,21 @@ def _stage_dir(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def _marker(d: str) -> dict | None:
-    """The stage's ``_SUCCESS`` record, or None while the stage is not
-    done. A marker that does not parse (a crash mid-write left it
-    empty or cut) counts as not done, so resume reruns the stage."""
+def _marker(d: str, name: str = _SUCCESS) -> dict | None:
+    """The stage's ``_SUCCESS`` record (or another JSON record ``name``
+    in ``d``), or None while it is absent. A record that does not
+    parse (a crash mid-write left it empty or cut) counts as absent,
+    so resume reruns the stage."""
     try:
-        with open(os.path.join(d, _SUCCESS), encoding="utf-8") as f:
-            return json.load(f)
-    except (FileNotFoundError, ValueError):
+        return read_json(os.path.join(d, name))
+    except ValueError:
         return None
 
 
 def _mark(d: str, meta: dict) -> dict:
-    """Close a stage: fsync'd tmp + ``os.replace``, so neither a crash
-    nor a power loss can leave a partial marker. Returns ``meta``."""
-    path = os.path.join(d, _SUCCESS)
-    with open(path + ".tmp", "w", encoding="utf-8") as f:
-        json.dump(meta, f)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(path + ".tmp", path)
+    """Close a stage (``write_json``: a crash never leaves a partial
+    marker). Returns ``meta``."""
+    write_json(os.path.join(d, _SUCCESS), meta)
     return meta
 
 
@@ -354,8 +349,6 @@ def curate_increment(new_dir: str, out_dir: str, span_tokens: int = 16,
     an index that already folded the delivery is detected (its doc path
     is in the index meta) and its kept set reused instead of re-folded.
     """
-    import shutil
-
     from ..stages.dedup import dedup_spans
     from ..stages.dedup_incremental import (
         build_dedup_index,
@@ -372,21 +365,22 @@ def curate_increment(new_dir: str, out_dir: str, span_tokens: int = 16,
     new_doc_path = os.path.abspath(os.path.join(new_dir,
                                                 "documents.parquet"))
     # one directory per delivery; a crashed (no _SUCCESS) dir for the
-    # SAME input is resumed, otherwise the next ordinal is allocated
-    inc_dir = None
+    # SAME input is resumed, otherwise the next ordinal is allocated. A
+    # dir with no readable _input.json crashed before recording its
+    # delivery (nothing else is written first), so it is claimed again.
+    inc_dir, rec = None, None
     for d in sorted(os.listdir(incs)):
-        meta_p = os.path.join(incs, d, "_input.json")
-        if os.path.exists(meta_p):
-            with open(meta_p, encoding="utf-8") as f:
-                if json.load(f)["doc_path"] == new_doc_path:
-                    inc_dir = os.path.join(incs, d)
-                    break
+        rec = _marker(os.path.join(incs, d), "_input.json")
+        if rec is None or rec["doc_path"] == new_doc_path:
+            inc_dir = os.path.join(incs, d)
+            break
     if inc_dir is None:
         inc_dir = os.path.join(incs, f"inc={len(os.listdir(incs)):05d}")
         os.makedirs(inc_dir)
-        with open(os.path.join(inc_dir, "_input.json"), "w",
-                  encoding="utf-8") as f:
-            json.dump({"doc_path": new_doc_path}, f)
+        rec = None
+    if rec is None:
+        write_json(os.path.join(inc_dir, "_input.json"),
+                   {"doc_path": new_doc_path})
     done = _marker(inc_dir)
     if done is not None:
         return done
@@ -405,19 +399,17 @@ def curate_increment(new_dir: str, out_dir: str, span_tokens: int = 16,
     manifest["scrub"] = _write_documents(red, scrub_dir)
 
     # ---- global near-dup via the persisted index ---------------------
-    if not os.path.exists(os.path.join(index, "meta.json")):
+    index_meta = read_json(os.path.join(healed_dir(index), "meta.json"))
+    if index_meta is None:
         build_dedup_index(scrub_dir, index, threshold=threshold)
         kept = rd.read_parquet(os.path.join(index, "kept"))
+    elif os.path.abspath(os.path.join(scrub_dir, "documents.parquet")) \
+            in index_meta["doc_paths"]:
+        # crashed after the fold on a previous attempt
+        kept = rd.read_parquet(healed_dir(os.path.join(index, "kept")))
     else:
-        with open(os.path.join(index, "meta.json"), encoding="utf-8") as f:
-            folded = os.path.abspath(
-                os.path.join(scrub_dir, "documents.parquet")) in \
-                json.load(f)["doc_paths"]
-        if folded:  # crashed after the fold on a previous attempt
-            kept = rd.read_parquet(os.path.join(index, "kept"))
-        else:
-            kept = dedup_minhash_incremental(scrub_dir, index,
-                                             update_index=True)
+        kept = dedup_minhash_incremental(scrub_dir, index,
+                                         update_index=True)
 
     # survivors = this delivery's docs ∩ global kept; an all-near-dup
     # re-delivery legitimately survives with ZERO docs — the typed
@@ -480,8 +472,8 @@ def curate_evicted(out_dir: str) -> "rd.Dataset":
         # "correct after any crash" contract includes this state
         return rd.from_arrow(
             pa.schema([("doc_id", pa.int64())]).empty_table())
-    kept = rd.read_parquet(
-        os.path.join(out_dir, "state", "dedup_index", "kept"))
+    index = healed_dir(os.path.join(out_dir, "state", "dedup_index"))
+    kept = rd.read_parquet(healed_dir(os.path.join(index, "kept")))
     shipped = rd.read_parquet(shipped_files, columns=["doc_id"])
 
     def anti(ldf, rdf):

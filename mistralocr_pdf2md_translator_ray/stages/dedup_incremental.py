@@ -10,12 +10,9 @@ O(corpus) per day, so every blocking family here has an O(new) path:
                           neardup_embedding_incremental
 - (IVF ANN lives in stages/similarity.py: append_to_ivf_index)
 
-All share one crash contract: appends land via the tag-staged move
-protocol (`_staged_partition_append` — deterministic inc-ordinal file
-names, purge-then-move, meta written LAST and atomically), so a
-crash-retry can never double-append; labels/kept fold via a
-generation swap (`.next` written fully, retire, rename) that
-`_healed_subdir` completes on next access if interrupted.
+All share the crash contract of ``state/durable.py``: appends land via
+its tag-staged move, labels/kept and whole-index rebuilds via its
+generation swap, and meta (written LAST) via ``write_json``.
 
 The MinHash design in detail (the band families mirror it):
 ``build_dedup_index`` persists the dedup run's three artifacts —
@@ -66,9 +63,7 @@ three corpora (pytest-pinned).
 
 from __future__ import annotations
 
-import json
 import os
-import shutil
 
 import numpy as np
 import pandas as pd
@@ -91,6 +86,15 @@ from .dedup import (
 )
 from ..functions.dedup import char_shingles
 from ..functions.hashing import partition_hash_tag
+from ..state.durable import (
+    fresh_dir,
+    healed_dir,
+    purge_tagged,
+    read_json,
+    staged_partition_append,
+    swap_in,
+    write_json,
+)
 from .joins import BUCKET_COL, bucket_groups, sorted_blocks, with_bucket
 
 _BAND_PARTS = 64
@@ -155,60 +159,14 @@ def _write_bands(bands: "rd.Dataset", bands_dir: str,
         .write_parquet(bands_dir, partition_cols=["bb"])
 
 
-def _purge_tagged(live_dir: str, tag: str) -> None:
-    """Remove every ``<tag>_``-prefixed file under a partitioned dir —
-    the leftovers of a crashed previous append attempt of this tag."""
-    if not os.path.isdir(live_dir):
-        return
-    for root, _dirs, files in os.walk(live_dir):
-        for f in files:
-            if f.startswith(f"{tag}_"):
-                os.remove(os.path.join(root, f))
-
-
-def _healed_subdir(index_dir: str, name: str,
-                   staged: str = ".next") -> str:
-    """Resolve (and heal) a swap-replaced index subdir (labels/kept).
-    ``_fold_band_index`` writes the next generation to ``<name>.next``
-    COMPLETELY before retiring the old one, so if ``<name>`` is absent
-    the ``.next`` (or ``.retired``) on disk is a complete generation —
-    promote it. ``staged`` names the fully-written-next-generation
-    suffix (``.next`` for folds, ``.compact`` for compaction) — the
-    staged candidate is preferred over ``.retired`` because it is the
-    NEWER complete generation."""
-    final = os.path.join(index_dir, name)
-    if not os.path.isdir(final):
-        for cand in (final + staged, final + ".retired"):
-            if os.path.isdir(cand):
-                os.rename(cand, final)
-                break
-    retired = final + ".retired"
-    if os.path.isdir(final) and os.path.isdir(retired):
-        shutil.rmtree(retired)  # swap completed, old generation is junk
-    return final
-
-
-def _swap_in(final: str, staged: str = ".next") -> None:
-    """Promote a fully-written ``<final><staged>`` generation: retire
-    the old dir, rename the new one in, drop the retired copy. A crash
-    at any point leaves a complete generation reachable by
-    ``_healed_subdir`` (old, or new via the staged/``.retired``
-    candidates) — never a missing or half-written dir. The ONE swap
-    implementation for folds and compaction."""
-    retired = final + ".retired"
-    if os.path.isdir(retired):
-        shutil.rmtree(retired)
-    os.rename(final, retired)
-    os.rename(final + staged, final)
-    shutil.rmtree(retired)
-
-
 def _load_meta(index_dir: str) -> dict:
-    """An index's meta.json, refused when its partitions were hashed by
-    another ``bucket_ids`` build: a probe would read the wrong
-    partition and miss every old duplicate without an error."""
-    with open(os.path.join(index_dir, "meta.json")) as f:
-        meta = json.load(f)
+    """An index's meta.json (after healing an interrupted rebuild),
+    refused when its partitions were hashed by another ``bucket_ids``
+    build: a probe would read the wrong partition and miss every old
+    duplicate without an error."""
+    meta = read_json(os.path.join(healed_dir(index_dir), "meta.json"))
+    if meta is None:
+        raise FileNotFoundError(f"no index at {index_dir}")
     built = meta.get("partition_hash")
     if built != partition_hash_tag():
         raise ValueError(
@@ -216,20 +174,6 @@ def _load_meta(index_dir: str) -> dict:
             f"this process hashes partitions with {partition_hash_tag()}; "
             f"rebuild {index_dir}")
     return meta
-
-
-def _save_meta_atomic(index_dir: str, meta: dict) -> None:
-    """meta.json is the keystone of the tag-retry protocol (the
-    increment ordinal derives from it) — fsync'd tmp + os.replace so
-    neither a process crash nor a power loss shortly after can leave
-    it truncated."""
-    path = os.path.join(index_dir, "meta.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(meta, f)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
 
 
 _FOLDING = "_folding.json"
@@ -250,10 +194,8 @@ def _fold_guard_check(index_dir: str, input_path: str,
     guard's removal was lost. It is cleared, not enforced — else the
     finished increment is refused as a duplicate and every other one
     as an incomplete fold, wedging the index."""
-    path = os.path.join(index_dir, _FOLDING)
-    if os.path.exists(path):
-        with open(path) as f:
-            pending = json.load(f)
+    pending = read_json(os.path.join(index_dir, _FOLDING))
+    if pending is not None:
         if pending.get("input_path") in indexed_paths:
             _fold_guard_exit(index_dir)
         elif pending.get("input_path") != input_path:
@@ -265,14 +207,9 @@ def _fold_guard_check(index_dir: str, input_path: str,
 
 
 def _fold_guard_mark(index_dir: str, tag: str, input_path: str) -> None:
-    """Record the in-flight increment before the fold's first mutation
-    (fsync'd tmp + replace, like meta)."""
-    path = os.path.join(index_dir, _FOLDING)
-    with open(path + ".tmp", "w") as f:
-        json.dump({"tag": tag, "input_path": input_path}, f)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(path + ".tmp", path)
+    """Record the in-flight increment before the fold's first mutation."""
+    write_json(os.path.join(index_dir, _FOLDING),
+               {"tag": tag, "input_path": input_path})
 
 
 def _fold_guard_exit(index_dir: str) -> None:
@@ -288,58 +225,22 @@ def _fold_band_index(index_dir: str, new_bands: "rd.Dataset",
     hyperplane-LSH — one implementation so the crash contract cannot
     drift between families): tag-staged band append (a crash-retry
     purges and re-moves the same files, never double-appends), then
-    labels/kept generation swap (write ``.next`` fully, retire, rename
-    — a crash leaves a complete generation reachable via
-    ``_healed_subdir``, never a missing or torn dir). Cross-artifact
-    consistency relies on retry-the-same-increment, which
+    labels/kept generation swap (``swap_in`` — a crash leaves a
+    complete generation reachable via ``healed_dir``, never a missing
+    or torn dir). Cross-artifact consistency relies on
+    retry-the-same-increment, which
     ``_fold_guard_enter`` enforces. The caller writes meta (the
     doc-path guard and the tag's ordinal source) LAST, atomically,
     then clears the fold guard."""
-    _staged_partition_append(
+    staged_partition_append(
         lambda d: _write_bands(new_bands, d, num_parts),
         os.path.join(index_dir, "bands"), tag)
     new_labels = cluster_labels(edges)  # materializes internally
     for name, ds, schema in (("labels", new_labels, _LABELS_SCHEMA),
                              ("kept", kept, _KEPT_SCHEMA)):
-        final = _healed_subdir(index_dir, name)
-        nxt = final + ".next"
-        if os.path.isdir(nxt):
-            shutil.rmtree(nxt)
-        _write_ds(ds, nxt, schema)
-        _swap_in(final)
-
-
-def _staged_partition_append(write_fn, live_dir: str, tag: str) -> None:
-    """Crash-idempotent append into a hive-partitioned parquet dir.
-
-    ``write_fn(staging_dir)`` produces the increment's partitioned
-    files in a tag-scoped staging dir; any ``<tag>_``-prefixed files a
-    crashed previous attempt left in the live partitions are purged;
-    then the staged files move in under deterministic ``<tag>_<i>``
-    names. A retry after a crash at ANY point (staging, purge,
-    mid-move) reproduces the same final state — the double-append a
-    bare ``write_parquet(live_dir)`` retry would cause cannot happen.
-    The caller must derive ``tag`` deterministically from the index
-    state (increment ordinal), which is stable across retries because
-    the meta update is always LAST."""
-    staging = f"{live_dir}.staging-{tag}"
-    if os.path.isdir(staging):
-        shutil.rmtree(staging)
-    write_fn(staging)
-    os.makedirs(live_dir, exist_ok=True)
-    _purge_tagged(live_dir, tag)
-    for part in sorted(os.listdir(staging)):
-        src_part = os.path.join(staging, part)
-        if not os.path.isdir(src_part):
-            continue
-        dst_part = os.path.join(live_dir, part)
-        os.makedirs(dst_part, exist_ok=True)
-        for i, f in enumerate(sorted(os.listdir(src_part))):
-            if f.endswith(".parquet"):
-                os.replace(os.path.join(src_part, f),
-                           os.path.join(dst_part,
-                                        f"{tag}_{i:05d}.parquet"))
-    shutil.rmtree(staging)
+        final = healed_dir(os.path.join(index_dir, name))
+        _write_ds(ds, fresh_dir(final + ".next"), schema)
+        swap_in(final)
 
 
 def build_dedup_index(sf_dir: str, index_dir: str, threshold: float = 0.8,
@@ -359,26 +260,20 @@ def build_dedup_index(sf_dir: str, index_dir: str, threshold: float = 0.8,
         os.path.join(sf_dir, "documents.parquet"), pairs, char_shingles,
         threshold, n_upper=n_raw).materialize()  # feeds labels AND kept
 
-    tmp = index_dir + ".tmp"
-    if os.path.isdir(tmp):
-        shutil.rmtree(tmp)
-    os.makedirs(tmp)
-
+    tmp = fresh_dir(index_dir + ".tmp")
     _write_bands(bands, os.path.join(tmp, "bands"), num_band_parts)
     _write_ds(cluster_labels(verified), os.path.join(tmp, "labels"),
               _LABELS_SCHEMA)
     _write_ds(_keep_after_pairs(docs, verified),
               os.path.join(tmp, "kept"), _KEPT_SCHEMA)
-    with open(os.path.join(tmp, "meta.json"), "w") as f:
-        json.dump({"seed": seed, "bands": _BANDS, "n_perm": _N_PERM,
-                   "threshold": threshold,
-                   "num_band_parts": num_band_parts,
-                   "partition_hash": partition_hash_tag(),
-                   "doc_paths": [os.path.abspath(
-                       os.path.join(sf_dir, "documents.parquet"))]}, f)
-    if os.path.isdir(index_dir):
-        shutil.rmtree(index_dir)
-    os.replace(tmp, index_dir)
+    write_json(os.path.join(tmp, "meta.json"),
+               {"seed": seed, "bands": _BANDS, "n_perm": _N_PERM,
+                "threshold": threshold,
+                "num_band_parts": num_band_parts,
+                "partition_hash": partition_hash_tag(),
+                "doc_paths": [os.path.abspath(
+                    os.path.join(sf_dir, "documents.parquet"))]})
+    swap_in(index_dir, src=tmp)
 
 
 def _partition_files(root: str, col: str, buckets: pd.Series) -> list:
@@ -455,7 +350,7 @@ def dedup_minhash_incremental(new_dir: str, index_dir: str,
     # is the increment ordinal (stable across retries — meta is written
     # LAST), and its partial band files must not be probed as "old"
     tag = f"inc{len(meta['doc_paths']):05d}"
-    _purge_tagged(os.path.join(index_dir, "bands"), tag)
+    purge_tagged(os.path.join(index_dir, "bands"), tag)
 
     new_docs = _read_docs(new_dir)
     new_bands = _minhash_band_rows(new_docs, seed)
@@ -481,8 +376,8 @@ def dedup_minhash_incremental(new_dir: str, index_dir: str,
         meta["doc_paths"] + [new_doc_path], pairs, char_shingles,
         threshold, n_upper=nn_raw + no_n).materialize()
 
-    old_labels = rd.read_parquet(_healed_subdir(index_dir, "labels"))
-    old_kept = rd.read_parquet(_healed_subdir(index_dir, "kept"))
+    old_labels = rd.read_parquet(healed_dir(os.path.join(index_dir, "labels")))
+    old_kept = rd.read_parquet(healed_dir(os.path.join(index_dir, "kept")))
     # materialize: edges feeds both the kept computation and (on the
     # update path) cluster_labels — without this the labels read +
     # union re-execute per consumer
@@ -496,11 +391,12 @@ def dedup_minhash_incremental(new_dir: str, index_dir: str,
     _fold_guard_mark(index_dir, tag, new_doc_path)
     _fold_band_index(index_dir, new_bands, num_parts, tag, edges, kept)
     meta["doc_paths"].append(new_doc_path)
-    _save_meta_atomic(index_dir, meta)
+    write_json(os.path.join(index_dir, "meta.json"), meta)
     _fold_guard_exit(index_dir)
     # materialize: the NEXT increment's generation swap deletes these
     # files underneath a lazily-bound Dataset
-    return rd.read_parquet(_healed_subdir(index_dir, "kept")).materialize()
+    return rd.read_parquet(
+        healed_dir(os.path.join(index_dir, "kept"))).materialize()
 
 
 # ---------------------------------------------------------------------------
@@ -581,20 +477,15 @@ def _append_exact_rows(minima: "rd.Dataset", data_dir: str,
 def build_exact_index(sf_dir: str, index_dir: str,
                       num_parts: int = _EXACT_PARTS) -> None:
     """Persist the exact-dedup state of ``sf_dir`` (layout above)."""
-    tmp = index_dir + ".tmp"
-    if os.path.isdir(tmp):
-        shutil.rmtree(tmp)
-    os.makedirs(tmp)
+    tmp = fresh_dir(index_dir + ".tmp")
     _append_exact_rows(_exact_minima(sf_dir, num_parts),
                        os.path.join(tmp, "data"), num_parts)
-    with open(os.path.join(tmp, "meta.json"), "w") as f:
-        json.dump({"num_parts": num_parts,
-                   "partition_hash": partition_hash_tag(),
-                   "doc_paths": [os.path.abspath(
-                       os.path.join(sf_dir, "documents.parquet"))]}, f)
-    if os.path.isdir(index_dir):
-        shutil.rmtree(index_dir)
-    os.replace(tmp, index_dir)
+    write_json(os.path.join(tmp, "meta.json"),
+               {"num_parts": num_parts,
+                "partition_hash": partition_hash_tag(),
+                "doc_paths": [os.path.abspath(
+                    os.path.join(sf_dir, "documents.parquet"))]})
+    swap_in(index_dir, src=tmp)
 
 
 def dedup_exact_incremental(new_dir: str, index_dir: str,
@@ -623,7 +514,7 @@ def dedup_exact_incremental(new_dir: str, index_dir: str,
     # its partial rows must not be merged as "old" (they'd double-count
     # n_dups and make every new doc collide with itself)
     tag = f"inc{len(meta['doc_paths']):05d}"
-    _purge_tagged(data_dir, tag)
+    purge_tagged(data_dir, tag)
     minima = _exact_minima(new_dir, num_parts).materialize()
 
     def probe(g: pd.DataFrame) -> pd.DataFrame:
@@ -684,11 +575,11 @@ def dedup_exact_incremental(new_dir: str, index_dir: str,
         # tag-staged append: crash-retry purges + re-moves the same
         # files, never double-appends; meta (the doc_paths guard and
         # the tag's ordinal source) is written LAST
-        _staged_partition_append(
+        staged_partition_append(
             lambda d: _append_exact_rows(minima, d, num_parts),
             data_dir, tag)
         meta["doc_paths"].append(new_doc_path)
-        _save_meta_atomic(index_dir, meta)
+        write_json(os.path.join(index_dir, "meta.json"), meta)
     return delta
 
 
@@ -708,12 +599,13 @@ def exact_index_kept(index_dir: str) -> "rd.Dataset":
 
 
 def _exact_data_dir(index_dir: str) -> str:
-    """Resolve (and heal) the exact index's data generation — the
-    shared ``_healed_subdir`` machinery with compaction's staged
-    suffix. A crash between compaction's two renames leaves ``data``
-    absent with the fully-written ``data.compact`` (or the retired old
-    one) on disk; readers promote it and never see a mix."""
-    return _healed_subdir(index_dir, "data", staged=".compact")
+    """Resolve (and heal) the exact index and its data generation —
+    ``healed_dir`` with compaction's staged suffix. A crash between
+    compaction's two renames leaves ``data`` absent with the
+    fully-written ``data.compact`` (or the retired old one) on disk;
+    readers promote it and never see a mix."""
+    return healed_dir(os.path.join(healed_dir(index_dir), "data"),
+                      staged=".compact")
 
 
 def exact_index_compact(index_dir: str) -> None:
@@ -738,20 +630,16 @@ def exact_index_compact(index_dir: str) -> None:
     they merged into the compacted generation, the increment's retry
     could no longer heal them by tag and would double-count."""
     data_dir = _exact_data_dir(index_dir)
-    with open(os.path.join(index_dir, "meta.json")) as f:
-        meta = json.load(f)
-    _purge_tagged(data_dir, f"inc{len(meta['doc_paths']):05d}")
-
-    gen = data_dir + ".compact"
-    if os.path.isdir(gen):
-        shutil.rmtree(gen)  # partial previous attempt
+    meta = _load_meta(index_dir)
+    purge_tagged(data_dir, f"inc{len(meta['doc_paths']):05d}")
 
     (
         sorted_blocks(rd.read_parquet(data_dir), "hb", _merge_lsm_rows)
         .sort(["hb", "h"])
-        .write_parquet(gen, partition_cols=["hb"])
+        .write_parquet(fresh_dir(data_dir + ".compact"),
+                       partition_cols=["hb"])
     )
-    _swap_in(data_dir, staged=".compact")
+    swap_in(data_dir, staged=".compact")
 
 
 # ---------------------------------------------------------------------------
@@ -794,26 +682,21 @@ def build_embdedup_index(sf_dir: str, index_dir: str,
     verified = _verify_cosine_ds(emb_path, pairs, threshold,
                                  n_upper=n_raw).materialize()
 
-    tmp = index_dir + ".tmp"
-    if os.path.isdir(tmp):
-        shutil.rmtree(tmp)
-    os.makedirs(tmp)
+    tmp = fresh_dir(index_dir + ".tmp")
     _write_bands(bands, os.path.join(tmp, "bands"), num_band_parts)
     _write_ds(cluster_labels(verified), os.path.join(tmp, "labels"),
               _LABELS_SCHEMA)
     _write_ds(_keep_after_pairs(_vec_ids_as_doc_ids(emb_path), verified),
               os.path.join(tmp, "kept"), _KEPT_SCHEMA)
     np.save(os.path.join(tmp, "planes.npy"), planes)
-    with open(os.path.join(tmp, "meta.json"), "w") as f:
-        json.dump({"dim": dim, "n_bands": n_bands,
-                   "planes_per_band": planes_per_band, "seed": seed,
-                   "threshold": threshold,
-                   "num_band_parts": num_band_parts,
-                   "partition_hash": partition_hash_tag(),
-                   "emb_paths": [os.path.abspath(emb_path)]}, f)
-    if os.path.isdir(index_dir):
-        shutil.rmtree(index_dir)
-    os.replace(tmp, index_dir)
+    write_json(os.path.join(tmp, "meta.json"),
+               {"dim": dim, "n_bands": n_bands,
+                "planes_per_band": planes_per_band, "seed": seed,
+                "threshold": threshold,
+                "num_band_parts": num_band_parts,
+                "partition_hash": partition_hash_tag(),
+                "emb_paths": [os.path.abspath(emb_path)]})
+    swap_in(index_dir, src=tmp)
 
 
 def neardup_embedding_incremental(new_dir: str, index_dir: str,
@@ -854,7 +737,7 @@ def neardup_embedding_incremental(new_dir: str, index_dir: str,
             f"embedding dim {dim} != indexed dim {planes.shape[1]}")
 
     tag = f"inc{len(meta['emb_paths']):05d}"
-    _purge_tagged(os.path.join(index_dir, "bands"), tag)
+    purge_tagged(os.path.join(index_dir, "bands"), tag)
 
     new_bands = _embedding_band_rows(new_emb_path, planes).materialize()
 
@@ -870,8 +753,8 @@ def neardup_embedding_incremental(new_dir: str, index_dir: str,
         _emb_files(meta["emb_paths"] + [new_emb_path]), pairs,
         meta["threshold"], n_upper=nn_raw + no_n).materialize()
 
-    old_labels = rd.read_parquet(_healed_subdir(index_dir, "labels"))
-    old_kept = rd.read_parquet(_healed_subdir(index_dir, "kept"))
+    old_labels = rd.read_parquet(healed_dir(os.path.join(index_dir, "labels")))
+    old_kept = rd.read_parquet(healed_dir(os.path.join(index_dir, "kept")))
     # materialize: edges feeds both the kept computation and (on the
     # update path) cluster_labels inside _fold_band_index
     edges = verified.union(_labels_as_edges(old_labels)).materialize()
@@ -885,11 +768,12 @@ def neardup_embedding_incremental(new_dir: str, index_dir: str,
     _fold_guard_mark(index_dir, tag, new_emb_path)
     _fold_band_index(index_dir, new_bands, num_parts, tag, edges, kept)
     meta["emb_paths"].append(new_emb_path)
-    _save_meta_atomic(index_dir, meta)
+    write_json(os.path.join(index_dir, "meta.json"), meta)
     _fold_guard_exit(index_dir)
     # materialize: the NEXT increment's generation swap deletes these
     # files underneath a lazily-bound Dataset
-    return rd.read_parquet(_healed_subdir(index_dir, "kept")).materialize()
+    return rd.read_parquet(
+        healed_dir(os.path.join(index_dir, "kept"))).materialize()
 
 
 def _emb_files(paths: list) -> list:

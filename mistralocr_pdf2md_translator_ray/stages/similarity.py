@@ -24,6 +24,14 @@ from ..functions.vectors import (
     normalize_rows,
     topk_prune,
 )
+from ..state.durable import (
+    fresh_dir,
+    healed_dir,
+    read_json,
+    staged_partition_append,
+    swap_in,
+    write_json,
+)
 
 
 def _centroids(sf_dir: str, n_centroids: int, seed: int) -> np.ndarray:
@@ -222,24 +230,17 @@ def build_ivf_index(sf_dir: str, index_dir: str, n_centroids: int = 8,
     passes over the full table between the sampled init and the
     assignment write (``kmeans_refine`` — one extra corpus scan each,
     tighter partitions, same index layout)."""
-    import json
-    import shutil
-
     C = _centroids(sf_dir, n_centroids, seed)
     if refine_iters > 0:
         C, _ = kmeans_refine(sf_dir, C, n_iters=refine_iters)
-    # build into a tmp dir + atomic swap: a crashed build followed by a
-    # rerun must not leave (or double) partial partitions
-    tmp = index_dir + ".tmp"
-    if os.path.isdir(tmp):
-        shutil.rmtree(tmp)
+    # build into a tmp dir + generation swap: a crashed build followed
+    # by a rerun must not leave (or double) partial partitions, and a
+    # crashed rebuild leaves the old index reachable
+    tmp = fresh_dir(index_dir + ".tmp")
     _assign_and_write(C, sf_dir, tmp)
     np.save(os.path.join(tmp, "centroids.npy"), C)
-    with open(os.path.join(tmp, "meta.json"), "w") as f:
-        json.dump({"appended_paths": []}, f)
-    if os.path.isdir(index_dir):
-        shutil.rmtree(index_dir)
-    os.replace(tmp, index_dir)
+    write_json(os.path.join(tmp, "meta.json"), {"appended_paths": []})
+    swap_in(index_dir, src=tmp)
     return C
 
 
@@ -264,26 +265,25 @@ def append_to_ivf_index(new_dir: str, index_dir: str) -> None:
     tag-staged move protocol the dedup indexes use (deterministic
     ``inc<ordinal>_`` names, purge-then-move; the appended-paths meta
     is written LAST), so a crash at any point cannot double-append,
-    and re-appending an already-folded shard is rejected.
+    and re-appending an already-folded shard is rejected. An index
+    without ``meta.json`` predates that protocol and is refused.
     """
-    import json
-
-    from .dedup_incremental import _save_meta_atomic, _staged_partition_append
-
-    C = np.load(os.path.join(index_dir, "centroids.npy"))
+    C = np.load(os.path.join(healed_dir(index_dir), "centroids.npy"))
     meta_p = os.path.join(index_dir, "meta.json")
-    meta = {"appended_paths": []}
-    if os.path.exists(meta_p):  # pre-meta indexes append without the guard
-        with open(meta_p) as f:
-            meta = json.load(f)
+    meta = read_json(meta_p)
+    if meta is None:
+        raise ValueError(
+            f"{index_dir} has no meta.json — it predates the crash-safe "
+            "append format (no duplicate or crash-retry guard); rebuild "
+            "with build_ivf_index")
     new_path = os.path.abspath(os.path.join(new_dir, "embeddings.parquet"))
     if new_path in meta["appended_paths"]:
         raise ValueError(f"{new_path} is already in the index")
     tag = f"inc{len(meta['appended_paths']):05d}"
-    _staged_partition_append(
+    staged_partition_append(
         lambda d: _assign_and_write(C, new_dir, d), index_dir, tag)
     meta["appended_paths"].append(new_path)
-    _save_meta_atomic(index_dir, meta)
+    write_json(meta_p, meta)
 
 
 def knn_cosine_ivf_indexed(index_dir: str, query_vec: np.ndarray,
@@ -293,7 +293,7 @@ def knn_cosine_ivf_indexed(index_dir: str, query_vec: np.ndarray,
     ``nprobe`` partitions nearest the query are read from storage —
     at scale this prunes (n_centroids - nprobe)/n_centroids of all
     bytes before a single batch moves."""
-    C = np.load(os.path.join(index_dir, "centroids.npy"))
+    C = np.load(os.path.join(healed_dir(index_dir), "centroids.npy"))
     qv = np.asarray(query_vec, dtype=np.float64)
     qv = qv / np.linalg.norm(qv)
     probed = np.argsort(-(C @ qv))[:nprobe]

@@ -22,7 +22,6 @@ disk (computed from a readback, not from the in-flight stream).
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import zlib
@@ -31,24 +30,10 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from .durable import read_json, write_json
+
 _LINEAGE = "_lineage.json"
 _META = "_meta.json"
-
-
-def _load_meta(ckpt_dir: str) -> dict | None:
-    path = os.path.join(ckpt_dir, _META)
-    if not os.path.exists(path):
-        return None
-    with open(path) as f:
-        return json.load(f)
-
-
-def _save_meta(ckpt_dir: str, meta: dict) -> None:
-    path = os.path.join(ckpt_dir, _META)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(meta, f, indent=1)
-    os.replace(tmp, path)
 
 
 def part_id_for_key(key: str, n_partitions: int) -> int:
@@ -87,20 +72,14 @@ def filter_to_partitions(ds: "rd.Dataset", missing) -> "rd.Dataset":
 
 
 def load_lineage(ckpt_dir: str) -> dict[int, dict]:
-    path = os.path.join(ckpt_dir, _LINEAGE)
-    if not os.path.exists(path):
-        return {}
-    with open(path) as f:
-        raw = json.load(f)
+    raw = read_json(os.path.join(ckpt_dir, _LINEAGE)) or {}
     return {int(k): v for k, v in raw.items()}
 
 
 def _save_lineage(ckpt_dir: str, lineage: dict[int, dict]) -> None:
-    path = os.path.join(ckpt_dir, _LINEAGE)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump({str(k): v for k, v in sorted(lineage.items())}, f, indent=1)
-    os.replace(tmp, path)  # atomic: a crash never leaves partial lineage
+    """The inverse of ``load_lineage``: string keys, in partition order."""
+    write_json(os.path.join(ckpt_dir, _LINEAGE),
+               {str(k): v for k, v in sorted(lineage.items())})
 
 
 @ray.remote
@@ -182,7 +161,7 @@ def run_checkpointed(
     #   (part_id = crc32 % N changed for every row) -> full recompute
     # - a per-partition entry recorded against a different input
     #   fragment is stale -> recompute just that partition
-    meta = _load_meta(ckpt_dir)
+    meta = read_json(os.path.join(ckpt_dir, _META))
     pruned = False
     if meta is not None and meta.get("n_partitions") != n_partitions:
         pruned = bool(lineage)
@@ -205,8 +184,9 @@ def run_checkpointed(
         # lineage entries, and the next resume silently skips partitions
         # that were invalidated (returning a dataset missing their rows)
         _save_lineage(ckpt_dir, lineage)
-    _save_meta(ckpt_dir, {"n_partitions": n_partitions, "key": key,
-                          "input_fragment": input_fragment})
+    write_json(os.path.join(ckpt_dir, _META),
+               {"n_partitions": n_partitions, "key": key,
+                "input_fragment": input_fragment})
 
     missing = [p for p in range(n_partitions) if p not in lineage]
 
@@ -258,22 +238,6 @@ def run_checkpointed(
 # ---------------------------------------------------------------------------
 
 _SHARDS = "_shards.json"
-
-
-def _load_shards(ckpt_dir: str) -> dict[str, dict]:
-    path = os.path.join(ckpt_dir, _SHARDS)
-    if not os.path.exists(path):
-        return {}
-    with open(path) as f:
-        return json.load(f)
-
-
-def _save_shards(ckpt_dir: str, shards: dict[str, dict]) -> None:
-    path = os.path.join(ckpt_dir, _SHARDS)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(dict(sorted(shards.items())), f, indent=1)
-    os.replace(tmp, path)  # atomic, same crash contract as _lineage
 
 
 def _shard_fingerprint(path: str) -> str:
@@ -344,14 +308,15 @@ def run_checkpointed_append(
     os.makedirs(data_dir, exist_ok=True)
 
     files = sorted({os.path.abspath(p) for p in input_files})
-    shards = _load_shards(ckpt_dir)
+    shards_path = os.path.join(ckpt_dir, _SHARDS)
+    shards = read_json(shards_path) or {}
 
     # prune removed inputs (manifest before data, crash-safe order)
     removed = [p for p in shards if p not in files]
     if removed:
         for p in removed:
             del shards[p]
-        _save_shards(ckpt_dir, shards)
+        write_json(shards_path, dict(sorted(shards.items())))
     # reconcile data_dir against the manifest: any shard dir whose sid
     # the manifest doesn't claim is an orphan — a crash between the
     # manifest save above and this point (or a partial write from a
@@ -428,6 +393,6 @@ def run_checkpointed_append(
                 "content_hash": f"{chash:016x}",
                 "hash_fn": hash_fn,
             }
-        _save_shards(ckpt_dir, shards)
+        write_json(shards_path, dict(sorted(shards.items())))
 
     return rd.read_parquet(data_dir)

@@ -50,3 +50,26 @@ def pipeline_turns(tiny_fixture, ray_session):
         .sort_values(["conv_id", "turn_idx"])
         .reset_index(drop=True)
     )
+
+
+# The two curate jobs are the slowest queries() entries (a full staged
+# job each); the schema pin and the rows-only check share one run.
+_SHARED_QUERIES = ("curate_corpus", "curate_increment")
+
+
+@pytest.fixture(scope="session")
+def run_query(ray_session):
+    """``run_query(name, sf_dir)`` == ``queries()[name](sf_dir)``, with
+    the curate jobs' results cached for the session."""
+    import __ray_entry__ as entry_mod
+
+    cache = {}
+
+    def run(name, sf_dir):
+        if name not in _SHARED_QUERIES:
+            return entry_mod.queries()[name](sf_dir)
+        if (name, sf_dir) not in cache:
+            cache[name, sf_dir] = entry_mod.queries()[name](sf_dir)
+        return cache[name, sf_dir]
+
+    return run

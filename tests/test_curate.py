@@ -287,6 +287,37 @@ class TestCurateIncrement:
         m2b = curate_increment(c2, out, span_tokens=8, threshold=0.7)
         assert m2b == m2
 
+    def test_crash_writing_input_record_does_not_wedge(
+            self, tmp_path, ray_session, monkeypatch):
+        """A crash while ``_input.json`` is written must not wedge the
+        out_dir: every later call reads the record of every ``inc=``
+        dir, so a record left empty would fail all of them. A retry of
+        the same delivery returns the manifest of an uninterrupted run."""
+        import json
+
+        from mistralocr_pdf2md_translator_ray.pipelines.curate import (
+            curate_increment,
+        )
+
+        c1, _, _ = self._corpora(tmp_path)
+        ref = curate_increment(c1, str(tmp_path / "ref"), span_tokens=8,
+                               threshold=0.7)
+        real_dump = json.dump
+
+        def crash_once(obj, fp, *a, **kw):
+            if os.path.basename(getattr(fp, "name", "")) \
+                    .startswith("_input.json"):
+                monkeypatch.setattr(json, "dump", real_dump)
+                raise RuntimeError("simulated crash writing _input.json")
+            return real_dump(obj, fp, *a, **kw)
+
+        monkeypatch.setattr(json, "dump", crash_once)
+        out = str(tmp_path / "wedge")
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            curate_increment(c1, out, span_tokens=8, threshold=0.7)
+        assert curate_increment(c1, out, span_tokens=8,
+                                threshold=0.7) == ref
+
     def test_span_stage_matches_standalone_per_delivery(self, tmp_path,
                                                         ray_session):
         from mistralocr_pdf2md_translator_ray.pipelines.curate import (

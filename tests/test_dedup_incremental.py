@@ -584,6 +584,7 @@ class TestFoldGenerationHeal:
             build_dedup_index,
             dedup_minhash_incremental,
         )
+        from mistralocr_pdf2md_translator_ray.state.durable import healed_dir
 
         near = BASE.replace("lazy dog", "sleepy dog")
         old = _mkcorpus(tmp_path, "ho", [(1, BASE), (2, OTHER)])
@@ -607,9 +608,7 @@ class TestFoldGenerationHeal:
         os.makedirs(kept + ".retired")
         _pq.write_table(_pa.table({"doc_id": _pa.array([999], _pa.int64())}),
                         os.path.join(kept + ".retired", "stale.parquet"))
-        got = _kept(rd.read_parquet(
-            __import__("mistralocr_pdf2md_translator_ray.stages.dedup_incremental",
-                       fromlist=["x"])._healed_subdir(idx, "kept")))
+        got = _kept(rd.read_parquet(healed_dir(kept)))
         assert got == _kept(dedup_minhash(concat))
         assert 999 not in got                       # decoy NOT promoted
         assert os.path.isdir(kept)

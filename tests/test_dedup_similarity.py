@@ -1236,3 +1236,34 @@ class TestIvfAppendCrashRetry:
         assert total_rows() == 30          # no double-append
         with pytest.raises(ValueError, match="already in the index"):
             append_to_ivf_index(str(new_dir), idx)
+
+    def test_index_without_meta_is_refused(self, tmp_path, ray_session):
+        """An index written before meta.json existed has no duplicate or
+        crash-retry guard. Appending to it is refused with the remedy,
+        and nothing in the index is written."""
+        import os
+
+        from mistralocr_pdf2md_translator_ray.stages.similarity import (
+            append_to_ivf_index,
+            build_ivf_index,
+        )
+
+        M = np.random.default_rng(3).standard_normal((16, 8))
+        for name, lo, hi in (("po", 0, 12), ("pn", 12, 16)):
+            (tmp_path / name).mkdir()
+            pq.write_table(pa.table({
+                "vec_id": pa.array(range(lo, hi), pa.int64()),
+                "embedding": pa.FixedSizeListArray.from_arrays(
+                    pa.array(M[lo:hi].astype(np.float32).ravel(),
+                             pa.float32()), 8),
+            }), str(tmp_path / name / "embeddings.parquet"))
+        idx = str(tmp_path / "pidx")
+        build_ivf_index(str(tmp_path / "po"), idx, n_centroids=2, seed=5)
+        os.remove(os.path.join(idx, "meta.json"))  # the old format
+        before = sorted(os.path.join(r, f)
+                        for r, _, fs in os.walk(idx) for f in fs)
+        with pytest.raises(ValueError,
+                           match="rebuild with build_ivf_index"):
+            append_to_ivf_index(str(tmp_path / "pn"), idx)
+        assert sorted(os.path.join(r, f)
+                      for r, _, fs in os.walk(idx) for f in fs) == before

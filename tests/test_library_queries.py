@@ -74,8 +74,8 @@ ROWS_ONLY = sorted(set(entry_mod.queries()) - set(SQL_QUERIES))
 
 
 @pytest.mark.parametrize("name", ROWS_ONLY)
-def test_rows_only_queries_run(name, ray_session):
-    res = entry_mod.queries()[name](SF_DIR)
+def test_rows_only_queries_run(name, run_query):
+    res = run_query(name, SF_DIR)
     df = _to_pandas(res)
     assert len(df) >= 0
     assert len(df.columns) >= 1

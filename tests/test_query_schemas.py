@@ -508,8 +508,8 @@ def test_every_query_has_a_pinned_schema():
 
 
 @pytest.mark.parametrize("name", list(EXPECTED))
-def test_query_schema_pinned(name, ray_session):
-    res = entry_mod.queries()[name](SF_DIR)
+def test_query_schema_pinned(name, run_query):
+    res = run_query(name, SF_DIR)
     if isinstance(res, rd.Dataset):
         s = res.schema()
         got = {c: _norm(t) for c, t in zip(s.names, s.types)}

@@ -2,7 +2,9 @@
 ``stages/joins.bucket_groups``, and every groupby on a stored column
 through ``stages/joins.sorted_blocks``. A ``.map_groups(`` anywhere in
 the package (one pandas call per group), or the pandas-side hash
-``bucket_ids_np``, fails here."""
+``bucket_ids_np``, fails here. Persisted state commits through
+``state/durable.py`` only: an ``os.replace``/``os.rename``/``os.fsync``
+anywhere else (bar the rewritable sink outputs) fails here."""
 
 import ast
 import pathlib
@@ -33,3 +35,28 @@ def test_no_pandas_side_bucket_hash():
     hits = [p.relative_to(PKG).as_posix() for p in PKG.rglob("*.py")
             if "bucket_ids_np" in p.read_text(encoding="utf-8")]
     assert not hits, f"bucket_ids_np reappeared in {hits}"
+
+
+# The sinks' .md and asset files are rewritable outputs, not state:
+# their tmp + replace stays local and unsynced.
+_COMMIT_MODULES = {"state/durable.py", "stages/sinks.py"}
+
+
+def _commit_call_sites():
+    for path in sorted(PKG.rglob("*.py")):
+        rel = path.relative_to(PKG).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("replace", "rename", "fsync")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "os"):
+                yield rel, node.lineno, node.attr
+
+
+def test_state_commits_only_through_durable():
+    found = sorted(s for s in _commit_call_sites()
+                   if s[0] not in _COMMIT_MODULES)
+    assert not found, (
+        "persisted state commits through state/durable.py (write_json, "
+        f"swap_in, staged_partition_append): {found}")
