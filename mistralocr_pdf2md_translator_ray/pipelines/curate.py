@@ -53,7 +53,7 @@ from ..state.checkpoint import (
     load_lineage,
     run_checkpointed,
 )
-from ..state.durable import healed_dir, read_json, write_json
+from ..state.durable import healed_dir, read_json, read_marker, write_json
 
 _SUCCESS = "_SUCCESS"
 _N_PARTS = 16
@@ -65,13 +65,9 @@ def _stage_dir(out_dir: str, name: str) -> str:
 
 def _marker(d: str, name: str = _SUCCESS) -> dict | None:
     """The stage's ``_SUCCESS`` record (or another JSON record ``name``
-    in ``d``), or None while it is absent. A record that does not
-    parse (a crash mid-write left it empty or cut) counts as absent,
-    so resume reruns the stage."""
-    try:
-        return read_json(os.path.join(d, name))
-    except ValueError:
-        return None
+    in ``d``), or None while it is absent or does not parse, so resume
+    reruns the stage."""
+    return read_marker(os.path.join(d, name))
 
 
 def _mark(d: str, meta: dict) -> dict:

@@ -335,8 +335,10 @@ def _hot_conversations(transcripts: "ray.data.Dataset",
                        hot_threshold: int,
                        driver_cap: int = 2_000_000) -> set:
     """Conversations longer than ``hot_threshold`` turns, counted on the
-    RAW transcript input (``conv_id`` column only) or on a re-readable
-    per-turn store (the checkpointed job). Turn counts are invariant
+    RAW transcript input (``conv_id`` column only) for
+    ``extract_documents`` given a Dataset (with ``transcripts_path`` it
+    counts with raw tasks over the files instead,
+    ``_hot_conversations_from_files``). Turn counts are invariant
     under extraction — errors are values, rows are never dropped
     (SURVEY.md §1.1) — so hot detection never consumes the expensive
     extraction stream.

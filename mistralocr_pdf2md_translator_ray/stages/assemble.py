@@ -38,6 +38,8 @@ from ..functions.scalars import PAGE_SEPARATOR
 # carries the pre-normalization text alongside (mistralocr_app.py:714-717)
 _SINGLE_COLS = [("md", "doc_md")]
 _DUAL_COLS = [("md", "doc_md"), ("md_original", "doc_md_original")]
+#: Phase-1 buckets; the hot partials' phase 2 takes a quarter of them.
+_BUCKETS = 64
 
 
 def _assemble_bucket(g: pd.DataFrame, value_cols=_SINGLE_COLS) -> pd.DataFrame:
@@ -71,8 +73,7 @@ def _final_bucket(g: pd.DataFrame, value_cols=_SINGLE_COLS) -> pd.DataFrame:
     return out[["conv_id", "n_turns"] + doc_cols]
 
 
-def _assemble_single_phase(per_turn_ds, num_buckets: int,
-                           include_original: bool):
+def _assemble_single_phase(per_turn_ds, include_original: bool):
     """Empty hot set: one bucketed shuffle, each conversation assembled
     whole inside its bucket. With ``include_original`` the input's
     ``md_original`` column assembles to ``doc_md_original`` in the same
@@ -87,12 +88,11 @@ def _assemble_single_phase(per_turn_ds, num_buckets: int,
             ["conv_id", "turn_idx", "ts"] + [src for src, _ in value_cols]),
         "conv_id",
         functools.partial(_assemble_bucket, value_cols=value_cols),
-        num_buckets)
+        _BUCKETS)
 
 
 def assemble_conversations_hotaware(per_turn_ds, hot: set,
                                     salt_span: int = 256,
-                                    num_buckets: int = 64,
                                     include_original: bool = False):
     """Single-pass adaptive assembly given a known hot-conversation set:
     per-turn Dataset (conv_id, turn_idx, ts, md, ...) -> one row per
@@ -134,8 +134,7 @@ def assemble_conversations_hotaware(per_turn_ds, hot: set,
         hot_ref = hot
     else:
         if not hot:
-            return _assemble_single_phase(per_turn_ds, num_buckets,
-                                          include_original)
+            return _assemble_single_phase(per_turn_ds, include_original)
         hot_ref = ray.put(pa.array(sorted(hot), pa.string()))
 
     import pyarrow.compute as pc
@@ -158,7 +157,7 @@ def assemble_conversations_hotaware(per_turn_ds, hot: set,
         ds.map_batches(add_salt, batch_format="pyarrow"),
         ["conv_id", "salt"],
         functools.partial(_partial_bucket, value_cols=value_cols),
-        num_buckets)
+        _BUCKETS)
 
     final_cols = ["conv_id", "n_turns"] + [o for _, o in value_cols]
 
@@ -180,7 +179,7 @@ def assemble_conversations_hotaware(per_turn_ds, hot: set,
                 batch_format="pyarrow"),
             "conv_id",
             functools.partial(_final_bucket, value_cols=value_cols),
-            max(8, num_buckets // 4))
+            _BUCKETS // 4)
         # arrow-coerce: the union's other side is Arrow and mixed block
         # types break downstream batching
         .map_batches(lambda t: t.select(final_cols), batch_format="pyarrow")

@@ -55,6 +55,17 @@ def read_json(path: str):
         return None
 
 
+def read_marker(path: str):
+    """A completion record: the document at ``path``, or None while it
+    is absent. A record that does not parse (a crash mid-write left it
+    empty or cut, or an older build wrote an empty marker) counts as
+    absent, so the caller redoes the work it marks."""
+    try:
+        return read_json(path)
+    except ValueError:
+        return None
+
+
 def fresh_dir(path: str) -> str:
     """An empty directory at ``path`` (a crashed attempt's leftovers
     are dropped); returns ``path``."""

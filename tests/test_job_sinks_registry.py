@@ -5,6 +5,7 @@ import json
 import os
 
 import pandas as pd
+import pytest
 import pyarrow.parquet as pq
 import ray.data as rd
 
@@ -17,15 +18,12 @@ def _canon(df: pd.DataFrame) -> pd.DataFrame:
     return df
 
 
-def _write_fixture(tmp_path):
-    from mistralocr_pdf2md_translator_ray.sources import generate_transcripts
-
-    t, p = generate_transcripts()
-    t_path = str(tmp_path / "transcripts.parquet")
-    p_path = str(tmp_path / "payloads.parquet")
+def _write_inputs(tmp_path, t, p, name):
+    t_path = str(tmp_path / f"{name}_transcripts.parquet")
+    p_path = str(tmp_path / f"{name}_payloads.parquet")
     pq.write_table(t, t_path)
     pq.write_table(p, p_path)
-    return t, p, t_path, p_path
+    return t_path, p_path
 
 
 class TestExtractJob:
@@ -36,13 +34,13 @@ class TestExtractJob:
         )
 
     def test_job_matches_oracle_and_resumes(self, tmp_path, ray_session,
-                                            oracle_turns, monkeypatch):
-        from mistralocr_pdf2md_translator_ray.pipelines import job
+                                            tiny_fixture, oracle_turns,
+                                            monkeypatch):
         from mistralocr_pdf2md_translator_ray.pipelines.job import run_extract_job
         from mistralocr_pdf2md_translator_ray.pipelines.oracle import oracle_assemble
         from mistralocr_pdf2md_translator_ray.state import load_lineage
 
-        _t, _p, t_path, p_path = _write_fixture(tmp_path)
+        t_path, p_path = _write_inputs(tmp_path, *tiny_fixture, "tiny")
         out_dir = str(tmp_path / "job")
         per_turn = run_extract_job(t_path, p_path, out_dir, n_partitions=4)
         got = _canon(
@@ -88,24 +86,100 @@ class TestExtractJob:
         l2 = load_lineage(os.path.join(out_dir, "turns"))
         assert l2[victim]["content_hash"]  # recomputed and verified
 
-        # docs again with a threshold below the fixture's hot
-        # conversation: the job's hot count salts it, same documents
-        hot_sets = []
-        assemble = job.assemble_conversations_hotaware
+        # docs again on the completed checkpoint, with every shuffle
+        # route made to fail: the docs phase assembles each part_id
+        # where the checkpoint holds it, and gives the same documents
+        from mistralocr_pdf2md_translator_ray.stages import joins
 
-        def spy(per_turn, hot, **kw):
-            hot_sets.append(hot)
-            return assemble(per_turn, hot, **kw)
+        def no_shuffle(*_a, **_kw):
+            raise AssertionError("the docs phase shuffled")
 
-        monkeypatch.setattr(job, "assemble_conversations_hotaware", spy)
+        monkeypatch.setattr(rd.Dataset, "sort", no_shuffle)
+        monkeypatch.setattr(joins, "bucket_groups", no_shuffle)
         shutil.rmtree(os.path.join(out_dir, "docs"))
-        run_extract_job(t_path, p_path, out_dir, n_partitions=4,
-                        salt_span=16, hot_threshold=40)
-        sizes = exp["conv_id"].value_counts()
-        assert hot_sets == [set(sizes[sizes > 40].index)]
-        assert 0 < len(hot_sets[0]) < len(sizes)
+        run_extract_job(t_path, p_path, out_dir, n_partitions=4)
         pd.testing.assert_frame_equal(
             self._docs(out_dir)[exp_docs.columns.tolist()], exp_docs)
+        assert sorted(os.listdir(os.path.join(out_dir, "docs"))) == [
+            "_done"] + [f"part-{p}.parquet" for p in range(4)]
+
+    @pytest.mark.parametrize("n_convs,hot_conv,n_partitions", [
+        (12, False, 4),   # uniform conversations
+        (12, True, 4),    # one conversation holds half the turns
+        (3, False, 16),   # more partitions than conversations
+    ], ids=["uniform", "half_in_one_conv", "empty_partitions"])
+    def test_docs_match_oracle(self, tmp_path, ray_session, n_convs,
+                               hot_conv, n_partitions):
+        from mistralocr_pdf2md_translator_ray.pipelines.job import run_extract_job
+        from mistralocr_pdf2md_translator_ray.pipelines.oracle import (
+            oracle_assemble,
+            oracle_extract_turns,
+        )
+        from mistralocr_pdf2md_translator_ray.sources import generate_transcripts
+        from mistralocr_pdf2md_translator_ray.state.checkpoint import (
+            part_id_for_key,
+        )
+
+        t, p = generate_transcripts(n_convs=n_convs, n_turns=120, seed=5,
+                                    hot_conv=hot_conv)
+        t_path, p_path = _write_inputs(tmp_path, t, p, "in")
+        out_dir = str(tmp_path / "job")
+        run_extract_job(t_path, p_path, out_dir, n_partitions=n_partitions)
+        exp = oracle_assemble(oracle_extract_turns(t, p)).to_pandas()
+        got = self._docs(out_dir)
+        pd.testing.assert_frame_equal(got[exp.columns.tolist()], exp)
+        # one file per non-empty partition, in the old docs schema
+        docs_dir = os.path.join(out_dir, "docs")
+        parts = {part_id_for_key(c, n_partitions)
+                 for c in t["conv_id"].to_pylist()}
+        files = sorted(f for f in os.listdir(docs_dir) if f != "_done")
+        assert files == sorted(f"part-{q}.parquet" for q in parts)
+        if n_convs < n_partitions:
+            assert len(parts) < n_partitions
+        schema = pq.read_schema(os.path.join(docs_dir, files[0]))
+        assert [(f.name, str(f.type)) for f in schema] == [
+            ("conv_id", "string"), ("n_turns", "int64"),
+            ("doc_md", "string")]
+
+    def test_docs_follow_a_recomputed_checkpoint(self, tmp_path, ray_session):
+        """A rerun on another input in the same out_dir recomputes the
+        turns partitions, so docs/ must be rebuilt from them, not kept
+        from the first input."""
+        from mistralocr_pdf2md_translator_ray.pipelines.job import run_extract_job
+        from mistralocr_pdf2md_translator_ray.pipelines.oracle import (
+            oracle_assemble,
+            oracle_extract_turns,
+        )
+        from mistralocr_pdf2md_translator_ray.sources import generate_transcripts
+
+        out_dir = str(tmp_path / "job")
+        for name, seed in (("a", 1), ("b", 2)):
+            t, p = generate_transcripts(n_convs=8, n_turns=80, seed=seed)
+            t_path, p_path = _write_inputs(tmp_path, t, p, name)
+            run_extract_job(t_path, p_path, out_dir, n_partitions=4)
+            exp = oracle_assemble(oracle_extract_turns(t, p)).to_pandas()
+            pd.testing.assert_frame_equal(
+                self._docs(out_dir)[exp.columns.tolist()], exp)
+
+    def test_unparsable_done_marker_rebuilds_docs(self, tmp_path,
+                                                  ray_session):
+        """An empty ``_done`` (a crash mid-write, or a job written
+        before the marker held lineage) counts as not done."""
+        from mistralocr_pdf2md_translator_ray.pipelines.job import run_extract_job
+        from mistralocr_pdf2md_translator_ray.sources import generate_transcripts
+
+        t, p = generate_transcripts(n_convs=6, n_turns=40, seed=3)
+        t_path, p_path = _write_inputs(tmp_path, t, p, "in")
+        out_dir = str(tmp_path / "job")
+        run_extract_job(t_path, p_path, out_dir, n_partitions=4)
+        docs_dir = os.path.join(out_dir, "docs")
+        clean = self._docs(out_dir)
+        victim = sorted(f for f in os.listdir(docs_dir)
+                        if f.endswith(".parquet"))[0]
+        os.remove(os.path.join(docs_dir, victim))
+        open(os.path.join(docs_dir, "_done"), "w").close()
+        run_extract_job(t_path, p_path, out_dir, n_partitions=4)
+        pd.testing.assert_frame_equal(self._docs(out_dir), clean)
 
 
 class TestSinks:

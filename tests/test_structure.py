@@ -4,7 +4,9 @@ through ``stages/joins.sorted_blocks``. A ``.map_groups(`` anywhere in
 the package (one pandas call per group), or the pandas-side hash
 ``bucket_ids_np``, fails here. Persisted state commits through
 ``state/durable.py`` only: an ``os.replace``/``os.rename``/``os.fsync``
-anywhere else (bar the rewritable sink outputs) fails here."""
+anywhere else (bar the rewritable sink outputs) fails here. The
+checkpointed job's docs phase reduces each turns partition where it
+lies, so ``pipelines/job.py`` names no shuffle and no hot count."""
 
 import ast
 import pathlib
@@ -60,3 +62,29 @@ def test_state_commits_only_through_durable():
     assert not found, (
         "persisted state commits through state/durable.py (write_json, "
         f"swap_in, staged_partition_append): {found}")
+
+
+# The turns checkpoint already co-locates each conversation under one
+# part_id: assembling there needs no shuffle, and salting has nothing
+# left to balance.
+_JOB_FORBIDDEN = {"bucket_groups", "cogroup",
+                  "assemble_conversations_hotaware", "_hot_conversations"}
+
+
+def _names_in(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1], node.lineno
+
+
+def test_job_docs_phase_is_shuffle_free():
+    tree = ast.parse((PKG / "pipelines" / "job.py").read_text(encoding="utf-8"))
+    found = sorted((n, line) for n, line in _names_in(tree)
+                   if n in _JOB_FORBIDDEN)
+    assert not found, (
+        "pipelines/job.py assembles each part_id where the turns "
+        f"checkpoint holds it; no shuffle or hot count: {found}")
