@@ -194,9 +194,14 @@ def _extract_finalize(transcripts: "ray.data.Dataset", cmap_ref,
     pending) once per worker process."""
     from ..stages.registry import get_registry
 
-    # larger batches amortize the Arrow<->Python conversion (measured
-    # +12% at 4096 vs 1024 on ~1-2KB turns); for corpora with very wide
-    # turns lower this so batch bytes x tasks in flight fit worker heaps
+    # larger batches amortize the Arrow<->Python conversion. Measured
+    # on the perfbench `turns` input (8,000 turns, read -> extract ->
+    # write, 2 logical CPUs, 10 rotated reps, median [quartiles]):
+    # 1024 rows 0.749 s [0.727-0.795], 2048 0.746 s [0.694-0.795],
+    # 4096 0.705 s [0.679-0.780]. The batch also sets the block count,
+    # the files per checkpoint partition and the assembly shuffle width.
+    # For corpora with very wide turns lower it so batch bytes x tasks
+    # in flight fit worker heaps.
     return transcripts.map_batches(
         extract_finalize, batch_format="pyarrow", batch_size=4096,
         fn_kwargs={"cmap_ref": cmap_ref, "extra_extractors": get_registry(),
@@ -204,6 +209,29 @@ def _extract_finalize(transcripts: "ray.data.Dataset", cmap_ref,
 
 
 BROADCAST_CHILD_MAX_ROWS = 2_000_000
+
+#: Block-size target of the extraction plan's private ``DataContext``.
+#: Until an operator has produced an output, Ray Data charges each of its
+#: pending tasks ``target_max_block_size`` x its streaming-generator
+#: buffer (2 blocks) of object store, against a budget of half the
+#: store: at the 128 MiB default a 512 MiB store admits ONE extraction
+#: task until the first finishes. A 4,096-turn batch is ~4-8 MB, so
+#: 32 MiB fits every block and admits 4 tasks before any output.
+EXTRACT_TARGET_MAX_BLOCK_BYTES = 32 * 2**20
+
+
+def _on_engine_context(ds: "ray.data.Dataset") -> "ray.data.Dataset":
+    """``ds`` re-rooted on a private copy of its ``DataContext`` whose
+    block-size target is at most ``EXTRACT_TARGET_MAX_BLOCK_BYTES``.
+    ``ds`` must be a Dataset this module created: the copy shares its
+    logical plan and points that plan at the new context, so copying a
+    caller's Dataset would change the caller's plan. Neither the
+    caller's context nor the global one is mutated."""
+    own = ray.data.Dataset.copy(ds, _deep_copy=True)
+    cap = own.context.target_max_block_size
+    if cap is None or cap > EXTRACT_TARGET_MAX_BLOCK_BYTES:
+        own.context.target_max_block_size = EXTRACT_TARGET_MAX_BLOCK_BYTES
+    return own
 
 
 def extract_turns(
@@ -238,8 +266,11 @@ def extract_turns(
     # target_num_rows_per_block splits only blocks LARGER than the
     # target — minimal movement, a pass-through for already-fine inputs
     # (the 48-shard headline A/B'd flat) — and every join strategy
-    # below benefits.
-    transcripts = transcripts.repartition(target_num_rows_per_block=8192)
+    # below benefits. Every branch then runs on the engine's own
+    # DataContext (_on_engine_context), so the extraction map runs at
+    # full width from its first task.
+    transcripts = _on_engine_context(
+        transcripts.repartition(target_num_rows_per_block=8192))
 
     children = None
     if payloads_path is not None:
@@ -440,15 +471,19 @@ def _hot_conversations_from_files(files: list[str], threshold: int):
 
 #: Below this many turn rows (known from parquet FOOTER metadata only),
 #: extract_documents inserts an explicit materialize barrier between
-#: extraction and the assembly shuffle. Measured (243k turns, 32 CPUs,
-#: interleaved): barrier 13.1 s vs streaming 17.5 s — the all-to-all
-#: starved while the extraction actor pool of that time held 3/4 of
-#: the cores, and Ray's sort-based shuffle holds the whole input in
-#: the object store ANYWAY, so below the cap the barrier only adds one
-#: bounded extra pass. Past the cap the stream goes straight into the
-#: shuffle so the corpus is never held twice (the 100-TB shape).
-#: That measurement predates pool-free extraction; the gate stays
-#: until both regimes are measured again.
+#: extraction and the assembly shuffle. Ray's sort-based shuffle holds
+#: the whole input in the object store anyway, so below the cap the
+#: barrier only adds one bounded extra pass; past it the stream goes
+#: straight into the shuffle so the corpus is never held twice (the
+#: 100-TB shape). Measured with pool-free extraction on its own
+#: DataContext (perfbench `documents_skew` input, 4,000 turns with one
+#: conversation holding half, 2 logical CPUs, 10 interleaved reps,
+#: median [quartiles]): with that conversation hot (threshold 1,000)
+#: barrier 0.959 s [0.893-1.036] vs streaming 0.893 s [0.833-0.995],
+#: streaming faster in 7/10; with no hot conversation barrier 0.773 s
+#: [0.721-0.892] vs streaming 0.810 s [0.779-0.876], barrier faster in
+#: 8/10. Streaming does not win both, so the gate stays: the barrier
+#: is what keeps the empty-hot single-phase shortcut reachable.
 BARRIER_ASSEMBLY_MAX_ROWS = 2_000_000
 
 

@@ -141,47 +141,179 @@ ray.shutdown()
 """
 
 
+def _run_session_script(script: str, args: list, timeout_s: int,
+                        what: str) -> None:
+    """Run ``script`` as ``python -c`` from the repository root in its own
+    process group; on timeout the whole group (script, raylet, GCS,
+    workers) is killed so nothing outlives the test."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    import pytest
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, *args],
+        cwd=root, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        start_new_session=True)
+    try:
+        log, _ = proc.communicate(timeout=timeout_s)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"{what} did not finish in {timeout_s} s")
+    assert proc.returncode == 0, log.decode(errors="replace")[-4000:]
+
+
 class TestOneCpuSession:
     """With one logical CPU the broadcast route must still finish: the
     extraction tasks wait on the child map in ray.get, which gives the
     CPU back to the tasks that compute it. Runs in its own Ray session
-    in a subprocess; on timeout the whole process group (script,
-    raylet, GCS, workers) is killed so nothing outlives the test."""
+    in a subprocess (``_run_session_script``)."""
 
     TIMEOUT_S = 120
 
     def test_payloads_path_at_one_cpu_matches_oracle(self, tiny_fixture,
                                                      oracle_turns, tmp_path):
-        import os
-        import signal
-        import subprocess
-        import sys
-
         import pyarrow.parquet as pq
-        import pytest
 
         t, p = tiny_fixture
         t_path, p_path = str(tmp_path / "t.parquet"), str(tmp_path / "p.parquet")
         pq.write_table(t, t_path)
         pq.write_table(p, p_path)
         out = str(tmp_path / "out")
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        proc = subprocess.Popen(
-            [sys.executable, "-c", _ONE_CPU_SCRIPT, t_path, p_path, out],
-            cwd=root, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            start_new_session=True)
-        try:
-            log, _ = proc.communicate(timeout=self.TIMEOUT_S)
-        except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.communicate()
-            pytest.fail(f"extract_turns at num_cpus=1 did not finish in "
-                        f"{self.TIMEOUT_S} s")
-        assert proc.returncode == 0, log.decode(errors="replace")[-4000:]
+        _run_session_script(_ONE_CPU_SCRIPT, [t_path, p_path, out],
+                            self.TIMEOUT_S, "extract_turns at num_cpus=1")
         got = _as_sorted_pdf(pq.read_table(out))
         exp = _as_sorted_pdf(oracle_turns)
         pd.testing.assert_frame_equal(got[exp.columns.tolist()], exp,
                                       check_dtype=False)
+
+
+_ADMISSION_SCRIPT = """
+import os
+import sys
+import time
+
+import ray
+import ray.data as rd
+from ray.data import DataContext
+
+DataContext.get_current().enable_progress_bars = False
+ray.init(address="local", num_cpus=2, object_store_memory=512 * 2**20,
+         include_dashboard=False, logging_level="ERROR")
+from mistralocr_pdf2md_translator_ray.pipelines.extract_pipeline import extract_turns
+from mistralocr_pdf2md_translator_ray.stages.registry import register_extractor
+
+in_dir, out, spans = sys.argv[1:]
+
+
+def slow(text):
+    start = time.time()
+    time.sleep(0.0005)
+    with open(spans, "a") as f:
+        f.write(f"{os.getpid()} {start} {time.time()}\\n")
+    return "# " + text
+
+
+register_extractor("slow", slow)
+extract_turns(rd.read_parquet(in_dir)).write_parquet(os.path.join(out, "slow"))
+register_extractor("slow", lambda text: "# " + text)
+extract_turns(rd.read_parquet(in_dir)).write_parquet(os.path.join(out, "fast"))
+ray.shutdown()
+"""
+
+
+class TestFullWidthAdmission:
+    """At 2 CPUs and a 512 MiB object store, the extraction map must run
+    its first two tasks side by side. Ray Data charges a task that has
+    not produced an output yet ``target_max_block_size`` x 2 of object
+    store; at the default block size that admits one task until the
+    first finishes. Two 4,096-row files give two extraction tasks; a
+    registered extractor sleeps per row and logs (pid, start, end), and
+    the two tasks' spans must overlap in two worker processes. Runs in
+    its own Ray session in a subprocess."""
+
+    TIMEOUT_S = 180
+    ROWS = 4096
+
+    def test_two_tasks_overlap_and_output_unchanged(self, tmp_path):
+        import pyarrow.parquet as pq
+
+        in_dir = tmp_path / "in"
+        in_dir.mkdir()
+        for f in range(2):
+            n = range(f * self.ROWS, (f + 1) * self.ROWS)
+            pq.write_table(pa.table({
+                "conv_id": [f"c{i // 64}" for i in n],
+                "turn_idx": pa.array([i % 64 for i in n], pa.int32()),
+                "role": ["tool"] * self.ROWS,
+                "text": [f"row {i}" for i in n],
+                "tool": ["slow"] * self.ROWS,
+                "ts": pa.array(list(n), pa.timestamp("us")),
+            }), str(in_dir / f"part-{f}.parquet"))
+        out, spans = tmp_path / "out", tmp_path / "spans"
+        _run_session_script(_ADMISSION_SCRIPT, [str(in_dir), str(out), str(spans)],
+                            self.TIMEOUT_S, "the admission run")
+
+        lines = spans.read_text().splitlines()
+        assert len(lines) == 2 * self.ROWS
+        per_pid: dict = {}
+        for line in lines:
+            pid, start, end = line.split()
+            lo, hi = per_pid.get(pid, (float("inf"), 0.0))
+            per_pid[pid] = (min(lo, float(start)), max(hi, float(end)))
+        # two tasks, so a process's first-to-last row span is its task's
+        assert len(per_pid) == 2, f"one worker ran both tasks: {per_pid}"
+        (s0, e0), (s1, e1) = per_pid.values()
+        assert s0 < e1 and s1 < e0, (
+            f"the two extraction tasks ran one after the other: {per_pid}")
+
+        def rows(name):
+            return (pq.read_table(str(out / name)).to_pandas()
+                    .sort_values(["conv_id", "turn_idx"]).reset_index(drop=True))
+
+        got, exp = rows("slow"), rows("fast")
+        assert len(exp) == 2 * self.ROWS and (exp["status"] == "ok").all()
+        pd.testing.assert_frame_equal(got, exp)
+
+
+class TestEngineContext:
+    """``extract_turns`` runs its plan on a private copy of the
+    DataContext with the engine's block-size target; the caller's
+    Dataset, its logical plan and the global context keep theirs."""
+
+    @staticmethod
+    def _targets(ds):
+        from ray.data import DataContext
+
+        return (ds.context.target_max_block_size,
+                ds._logical_plan.context.target_max_block_size,
+                DataContext.get_current().target_max_block_size)
+
+    def test_caller_context_untouched(self, tiny_fixture, ray_session):
+        from mistralocr_pdf2md_translator_ray.pipelines import extract_pipeline as ep
+
+        ds = rd.from_arrow(tiny_fixture[0])
+        before = self._targets(ds)
+        assert ep.EXTRACT_TARGET_MAX_BLOCK_BYTES not in before
+        out = ep.extract_turns(ds)
+        assert self._targets(ds) == before
+        assert out.context.target_max_block_size == ep.EXTRACT_TARGET_MAX_BLOCK_BYTES
+        assert out.context is not ds.context
+
+    def test_smaller_caller_target_is_kept(self, tiny_fixture, ray_session):
+        from ray.data import DataContext
+
+        ds = rd.from_arrow(tiny_fixture[0])
+        assert ds.context is not DataContext.get_current()
+        ds.context.target_max_block_size = 2**20
+        before = self._targets(ds)
+        out = extract_turns(ds)
+        assert self._targets(ds) == before
+        assert out.context.target_max_block_size == 2**20
 
 
 class TestChildMapCache:

@@ -6,7 +6,9 @@ the package (one pandas call per group), or the pandas-side hash
 ``state/durable.py`` only: an ``os.replace``/``os.rename``/``os.fsync``
 anywhere else (bar the rewritable sink outputs) fails here. The
 checkpointed job's docs phase reduces each turns partition where it
-lies, so ``pipelines/job.py`` names no shuffle and no hot count."""
+lies, so ``pipelines/job.py`` names no shuffle and no hot count. The
+engine never touches the process-global ``DataContext``: a plan that
+needs other settings runs on a private copy of its own context."""
 
 import ast
 import pathlib
@@ -88,3 +90,23 @@ def test_job_docs_phase_is_shuffle_free():
     assert not found, (
         "pipelines/job.py assembles each part_id where the turns "
         f"checkpoint holds it; no shuffle or hot count: {found}")
+
+
+def _global_context_sites():
+    for path in sorted(PKG.rglob("*.py")):
+        rel = path.relative_to(PKG).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr == "get_current"
+                    and isinstance(node.value, (ast.Name, ast.Attribute))
+                    and getattr(node.value, "id",
+                                getattr(node.value, "attr", None)) == "DataContext"):
+                yield rel, node.lineno
+
+
+def test_engine_never_reads_the_global_data_context():
+    found = sorted(_global_context_sites())
+    assert not found, (
+        "DataContext.get_current() is the caller's global context; run "
+        "the plan on a private copy of its Dataset's context instead "
+        f"(pipelines/extract_pipeline._on_engine_context): {found}")
