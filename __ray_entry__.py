@@ -138,48 +138,6 @@ def _knn_ivf_indexed_query(sf_dir: str) -> Any:
     return knn_cosine_ivf_indexed(idx, qv, nprobe=3, exclude_vec_id=0)
 
 
-def _dedup_exact_incremental_query(sf_dir: str) -> Any:
-    """Incremental EXACT dedup against the persisted content-hash
-    index (append-only LSM of per-increment minima): same 90/10 split
-    as the minhash variant; returns the increment's delta
-    (doc_id, n_dups, evicted_doc_id). Rows-only; merged-view parity
-    with from-scratch dedup_exact on the concatenated corpus is pinned
-    in tests/test_dedup_incremental.py::TestIncrementalExactDedup."""
-    import os
-
-    from mistralocr_pdf2md_translator_ray.stages.dedup_incremental import (
-        build_exact_index,
-        dedup_exact_incremental,
-    )
-
-    root, old_dir, new_dir = _split_corpus(sf_dir, "graft_dedup_xinc")
-    idx = os.path.join(root, "index")
-    build_exact_index(old_dir, idx)
-    return dedup_exact_incremental(new_dir, idx)
-
-
-def _neardup_embedding_incremental_query(sf_dir: str) -> Any:
-    """Incremental embedding near-dup: build the hyperplane-band index
-    on the 90% 'old' embeddings, then near-dup ONLY the 10% 'daily'
-    shard against it (band probes + vec_id-pushdown cosine verify —
-    history never re-banded). Rows-only; kept-set parity with
-    from-scratch neardup_embedding on the concatenated corpus is
-    pinned in tests/test_dedup_incremental.py."""
-    import os
-
-    from mistralocr_pdf2md_translator_ray.stages.dedup_incremental import (
-        build_embdedup_index,
-        neardup_embedding_incremental,
-    )
-
-    root, old_dir, new_dir = _split_corpus(
-        sf_dir, "graft_embdedup_inc", table="embeddings",
-        columns=["vec_id", "embedding"], id_col="vec_id", residue=0)
-    idx = os.path.join(root, "index")
-    build_embdedup_index(old_dir, idx)
-    return neardup_embedding_incremental(new_dir, idx)
-
-
 def _knn_ivf_appended_query(sf_dir: str) -> Any:
     """Incremental-ANN path: build the IVF index on a 90% 'old' split,
     append the 10% 'daily' shard with frozen centroids
@@ -211,23 +169,52 @@ def _knn_ivf_appended_query(sf_dir: str) -> Any:
     return knn_cosine_ivf_indexed(idx, qv, nprobe=3, exclude_vec_id=0)
 
 
-def _dedup_incremental_query(sf_dir: str) -> Any:
-    """Incremental near-dup against a persisted band index: split the
-    documents table into an 'old' corpus (90%) and a daily 'new' shard
-    (doc_id % 10 == 0), build the index on old, then dedup ONLY the new
-    shard against it. Rows-only; kept-set parity with from-scratch runs
-    on the concatenated corpus is pinned in tests/test_dedup_incremental.py."""
+#: The persisted-index queries: name -> (split prefix, ``_split_corpus``
+#: options, index builder, increment) in stages/dedup_incremental.py.
+#: Each builds its index on the 90% 'old' split and folds ONLY the 10%
+#: 'daily' shard into it; the increment returns the shard's delta.
+#: Rows-only here; parity of the merged view with a from-scratch run on
+#: the concatenated corpus is pinned in tests/test_dedup_incremental.py.
+_INCREMENTAL = {
+    # near-dup against the band index (kept set)
+    "dedup_minhash_incremental": ("graft_dedup_inc", {},
+                                  "build_dedup_index", "dedup_minhash_incremental"),
+    # exact dedup against the content-hash LSM of per-increment minima:
+    # (doc_id, n_dups, evicted_doc_id)
+    "dedup_exact_incremental": ("graft_dedup_xinc", {},
+                                "build_exact_index", "dedup_exact_incremental"),
+    # embedding near-dup: hyperplane-band probes + vec_id-pushdown
+    # cosine verify, history never re-banded
+    "neardup_embedding_incremental": (
+        "graft_embdedup_inc",
+        {"table": "embeddings", "columns": ["vec_id", "embedding"],
+         "id_col": "vec_id", "residue": 0},
+        "build_embdedup_index", "neardup_embedding_incremental"),
+}
+
+
+def _incremental_steps(name: str, sf_dir: str) -> tuple[Callable, Callable]:
+    """Split ``sf_dir`` for the incremental query ``name`` under a fresh
+    /tmp root and return its two steps: ``build()`` the index on the
+    old split, then ``increment()`` -> the daily shard's result."""
     import os
 
-    from mistralocr_pdf2md_translator_ray.stages.dedup_incremental import (
-        build_dedup_index,
-        dedup_minhash_incremental,
-    )
+    from mistralocr_pdf2md_translator_ray.stages import dedup_incremental as di
 
-    root, old_dir, new_dir = _split_corpus(sf_dir, "graft_dedup_inc")
+    prefix, split, build, increment = _INCREMENTAL[name]
+    root, old_dir, new_dir = _split_corpus(sf_dir, prefix, **split)
     idx = os.path.join(root, "index")
-    build_dedup_index(old_dir, idx)
-    return dedup_minhash_incremental(new_dir, idx)
+    return (lambda: getattr(di, build)(old_dir, idx),
+            lambda: getattr(di, increment)(new_dir, idx))
+
+
+def _incremental_query(name: str) -> Callable[[str], Any]:
+    def run(sf_dir: str) -> Any:
+        build, increment = _incremental_steps(name, sf_dir)
+        build()
+        return increment()
+
+    return run
 
 
 def _payload_features_query(sf_dir: str) -> Any:
@@ -434,9 +421,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "neardup_embedding": dd.neardup_embedding,
         "dedup_spans": dd.dedup_spans,
         "neardup_clusters": dd.neardup_clusters,
-        "dedup_minhash_incremental": _dedup_incremental_query,
-        "dedup_exact_incremental": _dedup_exact_incremental_query,
-        "neardup_embedding_incremental": _neardup_embedding_incremental_query,
+        **{name: _incremental_query(name) for name in _INCREMENTAL},
         "embed_documents": _embed_documents_query,
         # similarity search (brute-force baseline + IVF scale path)
         "knn_cosine": lib.knn_cosine,

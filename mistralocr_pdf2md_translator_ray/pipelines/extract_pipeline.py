@@ -153,12 +153,16 @@ def _child_partial(conv_filter, *sources) -> dict:
     return out
 
 
+def _cluster_cpus() -> int:
+    """The cluster's logical CPUs (8 before Ray is initialized)."""
+    return int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+
+
 def _shards(items: list) -> list[list]:
     """Split the inputs of a raw-task launch that runs BESIDE a Ray Data
     pipeline into at most half the cluster's CPUs of shards (at least
     one), so the pipeline's read and map tasks always find a CPU."""
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    k = max(1, min(len(items), cpus // 2))
+    k = max(1, min(len(items), _cluster_cpus() // 2))
     return [items[i::k] for i in range(k)]
 
 
@@ -187,23 +191,69 @@ def _merge_child_partials(*partials: dict) -> dict:
     return cmap
 
 
+#: Rows per extraction batch, and the size larger input blocks are split
+#: to first, for an input of at least 4,096 rows per CPU or of unknown
+#: size. Larger batches amortize the Arrow<->Python conversion. Measured on the
+#: perfbench `turns` input (8,000 turns, read -> extract -> write, 2
+#: logical CPUs, 10 rotated reps, median [quartiles]): 1024 rows 0.749 s
+#: [0.727-0.795], 2048 0.746 s [0.694-0.795], 4096 0.705 s
+#: [0.679-0.780]. For corpora with very wide turns lower it so batch
+#: bytes x tasks in flight fit worker heaps.
+EXTRACT_BATCH_ROWS = 4096
+EXTRACT_BLOCK_ROWS = 8192
+
+
+def _small_input_blocks(rows: Optional[int], cpus: int) -> Optional[int]:
+    """How many equal blocks, one extraction task each, an input of
+    ``rows`` rows is split to on ``cpus`` CPUs; ``None`` keeps the fixed
+    plan (``EXTRACT_BATCH_ROWS`` per batch, blocks over
+    ``EXTRACT_BLOCK_ROWS`` split).
+
+    Ray bundles whole input blocks into one task until the bundle holds
+    ``batch_size`` rows, so the fixed plan runs an input of fewer than
+    4,096 rows per CPU as fewer tasks than CPUs (perfbench
+    `documents_skew`: 4,005 turns in one task on 2 CPUs). Such an input
+    is split to one equal block per CPU instead, whatever its files or
+    blocks. Bundling read blocks to a per-CPU row target gave the same
+    split, but the bundled map is admitted only once the read and split
+    operators above it finish: at 2 CPUs its two tasks ran one after
+    the other in about half the rounds. The split is a barrier, so both
+    tasks start together. Measured on perfbench `documents_skew` (2
+    logical CPUs, 10 alternating pairs, median [quartiles]): rows_per_s
+    3,867 [3,654-4,022] -> 4,708 [4,465-4,952], better in 10/10 pairs;
+    the bundled variant was better in 6/10 (+3.5%)."""
+    if rows is None or rows <= 0 or rows >= cpus * EXTRACT_BATCH_ROWS:
+        return None
+    return min(cpus, rows)
+
+
+def _known_rows(ds: "ray.data.Dataset") -> Optional[int]:
+    """Row count of an input Ray knows without executing anything: a
+    materialized Dataset (its block metadata) or a bare read whose
+    datasource reports it (parquet footers). ``None`` for every other
+    Dataset: a derived one would have to run its lineage to be
+    counted."""
+    from ray.data._internal.logical.operators.input_data_operator import InputData
+    from ray.data._internal.logical.operators.read_operator import Read
+
+    dag = ds._logical_plan.dag
+    if isinstance(dag, (InputData, Read)):
+        return dag.infer_metadata().num_rows
+    return None
+
+
 def _extract_finalize(transcripts: "ray.data.Dataset", cmap_ref,
-                      emit_original: bool) -> "ray.data.Dataset":
+                      emit_original: bool,
+                      batch_size: Optional[int]) -> "ray.data.Dataset":
     """The fused extract+splice+normalize map as stateless tasks; every
     task fetches the child map behind ``cmap_ref`` (which may still be
-    pending) once per worker process."""
+    pending) once per worker process. With ``batch_size`` None every
+    input block is one task. One task writes one block, so the batch
+    also sets the files per checkpoint partition."""
     from ..stages.registry import get_registry
 
-    # larger batches amortize the Arrow<->Python conversion. Measured
-    # on the perfbench `turns` input (8,000 turns, read -> extract ->
-    # write, 2 logical CPUs, 10 rotated reps, median [quartiles]):
-    # 1024 rows 0.749 s [0.727-0.795], 2048 0.746 s [0.694-0.795],
-    # 4096 0.705 s [0.679-0.780]. The batch also sets the block count,
-    # the files per checkpoint partition and the assembly shuffle width.
-    # For corpora with very wide turns lower it so batch bytes x tasks
-    # in flight fit worker heaps.
     return transcripts.map_batches(
-        extract_finalize, batch_format="pyarrow", batch_size=4096,
+        extract_finalize, batch_format="pyarrow", batch_size=batch_size,
         fn_kwargs={"cmap_ref": cmap_ref, "extra_extractors": get_registry(),
                    "emit_original": emit_original})
 
@@ -268,9 +318,18 @@ def extract_turns(
     # (the 48-shard headline A/B'd flat) — and every join strategy
     # below benefits. Every branch then runs on the engine's own
     # DataContext (_on_engine_context), so the extraction map runs at
-    # full width from its first task.
-    transcripts = _on_engine_context(
-        transcripts.repartition(target_num_rows_per_block=8192))
+    # full width from its first task. A small input whose row count is
+    # known without running it runs as one equal task per CPU instead
+    # (_small_input_blocks).
+    blocks = _small_input_blocks(_known_rows(transcripts), _cluster_cpus())
+    if blocks is None:
+        batch = EXTRACT_BATCH_ROWS
+        transcripts = transcripts.repartition(
+            target_num_rows_per_block=EXTRACT_BLOCK_ROWS)
+    else:
+        batch = None
+        transcripts = transcripts.repartition(blocks)
+    transcripts = _on_engine_context(transcripts)
 
     children = None
     if payloads_path is not None:
@@ -293,7 +352,7 @@ def extract_turns(
                 refs = _child_partial_refs(files, conv_filter=conv_filter)
                 return _extract_finalize(
                     transcripts, _merge_child_partials.remote(*refs),
-                    emit_original)
+                    emit_original, batch)
             payloads = rd.read_parquet(files)
             if conv_filter is not None:
                 payloads = _filter_conv_partitions(payloads, conv_filter)
@@ -311,7 +370,7 @@ def extract_turns(
                 payloads = _filter_conv_partitions(payloads, conv_filter)
 
     if payloads is None:
-        return _extract_finalize(transcripts, None, emit_original)
+        return _extract_finalize(transcripts, None, emit_original, batch)
 
     if children is None:
         # The payload blocks materialize first (the gate needs their
@@ -322,7 +381,7 @@ def extract_turns(
             refs = _child_partial_refs(payloads.to_arrow_refs())
             return _extract_finalize(
                 transcripts, _merge_child_partials.remote(*refs),
-                emit_original)
+                emit_original, batch)
         children = payloads.map_batches(extract_children,
                                         batch_format="pyarrow")
 
@@ -359,7 +418,7 @@ def extract_turns(
     )
     spliced = joined.map_batches(finalize_with_children, batch_format="pyarrow",
                                  fn_kwargs={"emit_original": emit_original})
-    return spliced.union(_extract_finalize(plain, None, emit_original))
+    return spliced.union(_extract_finalize(plain, None, emit_original, batch))
 
 
 def _hot_conversations(transcripts: "ray.data.Dataset",

@@ -627,6 +627,22 @@ QUALIFY row_number() OVER (PARTITION BY o_custkey
 """
 
 
+_CUST_NAME_SCHEMA = pa.schema([("c_custkey", pa.int64()), ("c_name", pa.string())])
+
+
+def _semi_anti_merge(ldf: pd.DataFrame, rdf: pd.DataFrame, anti: bool) -> pa.Table:
+    """One co-group block of ``_semi_anti_custkeys``: the customers of
+    ``ldf`` whose key is (semi) or is not (anti) in ``rdf``. Arrow with
+    a fixed schema, so a block that keeps nothing is a typed empty
+    table: Ray's sizing of an empty pandas frame with a string column
+    logs "Error calculating size for column 'c_name'", whatever the
+    column's dtype."""
+    mask = ldf["c_custkey"].isin(set(rdf["c_custkey"]))
+    out = ldf[~mask if anti else mask]
+    return pa.Table.from_pandas(out[["c_custkey", "c_name"]],
+                                schema=_CUST_NAME_SCHEMA, preserve_index=False)
+
+
 def _semi_anti_custkeys(cust: "rd.Dataset", keys: "rd.Dataset",
                         anti: bool) -> "rd.Dataset":
     """Distributed semi/anti join of customer against a custkey Dataset.
@@ -637,19 +653,16 @@ def _semi_anti_custkeys(cust: "rd.Dataset", keys: "rd.Dataset",
     Nothing ever iterates the fact table through the driver, and no
     side is assumed to fit in one process's memory.
     """
-    from ..stages.joins import cogroup
+    import functools
 
-    def merge(ldf: pd.DataFrame, rdf: pd.DataFrame) -> pd.DataFrame:
-        mask = ldf["c_custkey"].isin(set(rdf["c_custkey"]))
-        out = ldf[~mask if anti else mask]
-        return out[["c_custkey", "c_name"]]
+    from ..stages.joins import cogroup
 
     return cogroup(
         cust,
         keys,
         on=["c_custkey"],
-        merge_fn=merge,
-        left_schema=pa.schema([("c_custkey", pa.int64()), ("c_name", pa.string())]),
+        merge_fn=functools.partial(_semi_anti_merge, anti=anti),
+        left_schema=_CUST_NAME_SCHEMA,
         right_schema=pa.schema([("c_custkey", pa.int64())]),
         num_buckets=32,
     )

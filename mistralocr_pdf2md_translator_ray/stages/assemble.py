@@ -40,6 +40,12 @@ _SINGLE_COLS = [("md", "doc_md")]
 _DUAL_COLS = [("md", "doc_md"), ("md_original", "doc_md_original")]
 #: Phase-1 buckets; the hot partials' phase 2 takes a quarter of them.
 _BUCKETS = 64
+#: Fewest rows per assembly task. Each shuffle pays a fixed cost per
+#: input block, and a small input's extraction writes one block per CPU
+#: (``extract_pipeline._small_input_blocks``): its blocks are bundled
+#: back to the fixed extraction batch before the shuffle. Blocks this
+#: size or larger pass one per task, as before.
+_MIN_BLOCK_ROWS = 4096
 
 
 def _assemble_bucket(g: pd.DataFrame, value_cols=_SINGLE_COLS) -> pd.DataFrame:
@@ -73,6 +79,15 @@ def _final_bucket(g: pd.DataFrame, value_cols=_SINGLE_COLS) -> pd.DataFrame:
     return out[["conv_id", "n_turns"] + doc_cols]
 
 
+def _assembly_input(per_turn_ds, value_cols):
+    """The columns the assembly reads, in tasks of at least
+    ``_MIN_BLOCK_ROWS`` rows."""
+    cols = ["conv_id", "turn_idx", "ts"] + [src for src, _ in value_cols]
+    return per_turn_ds.map_batches(lambda t: t.select(cols),
+                                   batch_format="pyarrow",
+                                   batch_size=_MIN_BLOCK_ROWS)
+
+
 def _assemble_single_phase(per_turn_ds, include_original: bool):
     """Empty hot set: one bucketed shuffle, each conversation assembled
     whole inside its bucket. With ``include_original`` the input's
@@ -84,8 +99,7 @@ def _assemble_single_phase(per_turn_ds, include_original: bool):
 
     value_cols = _DUAL_COLS if include_original else _SINGLE_COLS
     return bucket_groups(
-        per_turn_ds.select_columns(
-            ["conv_id", "turn_idx", "ts"] + [src for src, _ in value_cols]),
+        _assembly_input(per_turn_ds, value_cols),
         "conv_id",
         functools.partial(_assemble_bucket, value_cols=value_cols),
         _BUCKETS)
@@ -142,8 +156,7 @@ def assemble_conversations_hotaware(per_turn_ds, hot: set,
     from .joins import bucket_groups
 
     value_cols = _DUAL_COLS if include_original else _SINGLE_COLS
-    ds = per_turn_ds.select_columns(
-        ["conv_id", "turn_idx", "ts"] + [src for src, _ in value_cols])
+    ds = _assembly_input(per_turn_ds, value_cols)
     span = int(salt_span)
 
     def add_salt(t: pa.Table) -> pa.Table:

@@ -248,20 +248,6 @@ def _removed_ds_by_label_propagation(pairs: "rd.Dataset",
         .map_batches(removed_only, batch_format="pyarrow")
 
 
-def _removed_by_label_propagation(pairs: list[tuple[int, int]],
-                                  num_buckets: int = 32,
-                                  max_iters: int = 64) -> set[int]:
-    """List-of-pairs convenience wrapper (tests / small graphs) around
-    the Dataset-native propagation path."""
-    if not pairs:
-        return set()
-    a = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
-    b = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
-    ds = rd.from_arrow(pa.table({"a": pa.array(a), "b": pa.array(b)}))
-    removed = _removed_ds_by_label_propagation(ds, num_buckets, max_iters)
-    return {int(r["doc_id"]) for r in removed.take_all()}
-
-
 def _collect_bounded_ids(ids: "rd.Dataset") -> np.ndarray:
     """Materialized id Dataset -> sorted int64 array on the driver.
     ONLY called behind a count() gate (<= _BROADCAST_REMOVED_MAX), i.e.

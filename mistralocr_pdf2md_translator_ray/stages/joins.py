@@ -161,17 +161,17 @@ def cogroup(
     left: "rd.Dataset",
     right: "rd.Dataset",
     on: list[str],
-    merge_fn: Callable[[pd.DataFrame, pd.DataFrame], pd.DataFrame],
+    merge_fn: Callable[[pd.DataFrame, pd.DataFrame], "pd.DataFrame | pa.Table"],
     left_schema: pa.Schema,
     right_schema: pa.Schema,
     num_buckets: int = 64,
 ) -> "rd.Dataset":
     """Co-partition two Datasets on ``on`` and merge per bucket.
 
-    ``merge_fn(ldf, rdf) -> DataFrame`` receives the rows of one or
-    more whole buckets from each side (only that side's own columns)
-    and runs vectorized pandas logic (pd.merge / groupby-agg). One
-    shuffle total, one call per shuffle output block.
+    ``merge_fn(ldf, rdf) -> DataFrame`` (or Arrow table) receives the
+    rows of one or more whole buckets from each side (only that side's
+    own columns) and runs vectorized pandas logic (pd.merge /
+    groupby-agg). One shuffle total, one call per shuffle output block.
     """
     union_fields: dict[str, pa.Field] = {}
     for f in list(left_schema) + list(right_schema):

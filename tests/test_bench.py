@@ -55,3 +55,37 @@ def test_emit_writes_the_whole_record(tmp_path, monkeypatch, capsys):
         assert json.load(f) == rec
     last = capsys.readouterr().out.strip().splitlines()[-1]
     assert json.loads(last)["record"] == path
+
+
+def test_incremental_queries_time_build_and_increment_apart(monkeypatch):
+    import __ray_entry__ as entry
+
+    calls = []
+    monkeypatch.setattr(entry, "_incremental_steps", lambda name, sf: (
+        lambda: calls.append(f"{name}:build"),
+        lambda: calls.append(f"{name}:increment")))
+    walls = []
+
+    def timed(name, fn):
+        walls.append(name)
+        fn()
+
+    bench._time_incremental(timed)
+    names = list(entry._INCREMENTAL)
+    assert names == ["dedup_minhash_incremental", "dedup_exact_incremental",
+                     "neardup_embedding_incremental"]
+    assert walls == [f"{n}_{step}" for n in names for step in ("build", "increment")]
+    assert calls == [f"{n}:{step}" for n in names for step in ("build", "increment")]
+    # queries() still serves each combined query under its own name
+    assert set(names) <= set(entry.queries())
+
+
+def test_summary_with_split_walls_fits(tmp_path):
+    rec = _record()
+    for name in ("dedup_minhash_incremental", "dedup_exact_incremental",
+                 "neardup_embedding_incremental"):
+        rec["queries"][f"{name}_build"] = 9.5
+        rec["queries"][f"{name}_increment"] = 9.25
+    line = json.dumps(bench.summarize(rec, str(tmp_path / "r.json")))
+    assert len(line) < 1500
+    assert json.loads(line)["slowest_queries"]["neardup_embedding_incremental_build"] == 9.5

@@ -8,6 +8,17 @@ import pytest
 import ray.data as rd
 
 
+def _removed_by_propagation(pairs: list, **kw) -> set:
+    """Docs that label propagation drops from a list of (a, b) edges."""
+    from mistralocr_pdf2md_translator_ray.stages.dedup import (
+        _removed_ds_by_label_propagation,
+    )
+
+    ds = rd.from_arrow(pa.table({"a": pa.array([a for a, _ in pairs], pa.int64()),
+                                 "b": pa.array([b for _, b in pairs], pa.int64())}))
+    return {int(r["doc_id"]) for r in _removed_ds_by_label_propagation(ds, **kw).take_all()}
+
+
 @pytest.fixture(scope="module")
 def dup_dir(tmp_path_factory):
     """documents.parquet with known exact + near duplicates, and
@@ -100,24 +111,18 @@ class TestClustering:
     ]
 
     def test_label_propagation_matches_union_find(self, ray_session):
-        from mistralocr_pdf2md_translator_ray.stages.dedup import (
-            _removed_by_label_propagation,
-            _union_find,
-        )
+        from mistralocr_pdf2md_translator_ray.stages.dedup import _union_find
 
         for pairs in self.CASES:
             roots = _union_find(pairs)
             expected = {d for d, r in roots.items() if r != d}
-            got = _removed_by_label_propagation(pairs, num_buckets=4)
+            got = _removed_by_propagation(pairs, num_buckets=4)
             assert got == expected, pairs
 
     def test_label_propagation_random_graphs(self, ray_session):
         """Seeded random graphs (mixed chains/cliques/isolates): the
         distributed path must agree with union-find every time."""
-        from mistralocr_pdf2md_translator_ray.stages.dedup import (
-            _removed_by_label_propagation,
-            _union_find,
-        )
+        from mistralocr_pdf2md_translator_ray.stages.dedup import _union_find
 
         for seed in (3, 11):
             rng = np.random.default_rng(seed)
@@ -127,7 +132,7 @@ class TestClustering:
             pairs = [p for p in pairs if p[0] != p[1]]
             roots = _union_find(pairs)
             expected = {d for d, r in roots.items() if r != d}
-            got = _removed_by_label_propagation(pairs, num_buckets=4)
+            got = _removed_by_propagation(pairs, num_buckets=4)
             assert got == expected, (seed, pairs)
 
     def test_dedup_through_propagation_path(self, dup_dir, ray_session,
@@ -687,14 +692,10 @@ class TestAdaptiveBranches:
     def test_label_propagation_warns_on_non_convergence(self, ray_session):
         import warnings
 
-        from mistralocr_pdf2md_translator_ray.stages.dedup import (
-            _removed_by_label_propagation,
-        )
-
         chain = [(i, i + 1) for i in range(6)]  # diameter > 1 round
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            _removed_by_label_propagation(chain, num_buckets=2, max_iters=1)
+            _removed_by_propagation(chain, num_buckets=2, max_iters=1)
         assert any("fixpoint" in str(w.message) for w in caught)
 
 

@@ -1103,3 +1103,52 @@ class TestJoinSkew:
             got = _normalize(_to_pandas(revenue_by_nation(str(d), **kwargs)))
             pd.testing.assert_frame_equal(got, exp, check_dtype=False,
                                           check_exact=True)
+
+
+class TestSemiAntiEmptyMerge:
+    """A co-group block whose semi/anti merge keeps no customer is a
+    typed empty Arrow table, which Ray sizes without a warning; the
+    empty pandas frame it replaced logged "Error calculating size for
+    column 'c_name'" on the ``ray.data`` logger."""
+
+    @staticmethod
+    def _size_warnings(caplog, block) -> list[str]:
+        import logging
+
+        from ray.data.block import BlockAccessor
+
+        logger = logging.getLogger("ray.data")
+        logger.addHandler(caplog.handler)
+        try:
+            caplog.clear()
+            BlockAccessor.for_block(block).size_bytes()
+        finally:
+            logger.removeHandler(caplog.handler)
+        return [r.getMessage() for r in caplog.records
+                if "Error calculating size" in r.getMessage()]
+
+    def test_empty_merge_is_typed_and_sized_silently(self, caplog):
+        import pyarrow as pa
+
+        from mistralocr_pdf2md_translator_ray.pipelines import library as lib
+
+        ldf = pd.DataFrame({"c_custkey": [1, 2], "c_name": ["a", "b"]})
+        rdf = pd.DataFrame({"c_custkey": [1, 2]})
+        for anti, keep in ((True, rdf), (False, rdf.iloc[:0])):
+            out = lib._semi_anti_merge(ldf, keep, anti=anti)
+            assert out.num_rows == 0
+            assert out.schema == pa.schema([("c_custkey", pa.int64()),
+                                            ("c_name", pa.string())])
+            assert self._size_warnings(caplog, out) == []
+        # the check sees the warning the old empty pandas frame gave
+        assert self._size_warnings(caplog, ldf.iloc[:0])
+
+    def test_kept_rows_unchanged(self):
+        from mistralocr_pdf2md_translator_ray.pipelines import library as lib
+
+        ldf = pd.DataFrame({"c_custkey": [1, 2, 3], "c_name": ["a", "b", "c"]})
+        rdf = pd.DataFrame({"c_custkey": [2]})
+        assert lib._semi_anti_merge(ldf, rdf, anti=True).to_pylist() == [
+            {"c_custkey": 1, "c_name": "a"}, {"c_custkey": 3, "c_name": "c"}]
+        assert lib._semi_anti_merge(ldf, rdf, anti=False).to_pylist() == [
+            {"c_custkey": 2, "c_name": "b"}]

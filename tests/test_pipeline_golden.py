@@ -226,6 +226,56 @@ ray.shutdown()
 """
 
 
+def _run_sleepy_extraction(tmp_path, n_files: int, rows: int):
+    """Write ``n_files`` transcript files of ``rows`` turns each, run
+    ``_ADMISSION_SCRIPT`` on them and return ({pid: (first start, last
+    end)} of the sleepy extractor's rows, slow output, fast output)."""
+    import pyarrow.parquet as pq
+
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    for f in range(n_files):
+        n = range(f * rows, (f + 1) * rows)
+        pq.write_table(pa.table({
+            "conv_id": [f"c{i // 64}" for i in n],
+            "turn_idx": pa.array([i % 64 for i in n], pa.int32()),
+            "role": ["tool"] * rows,
+            "text": [f"row {i}" for i in n],
+            "tool": ["slow"] * rows,
+            "ts": pa.array(list(n), pa.timestamp("us")),
+        }), str(in_dir / f"part-{f}.parquet"))
+    out, spans = tmp_path / "out", tmp_path / "spans"
+    _run_session_script(_ADMISSION_SCRIPT, [str(in_dir), str(out), str(spans)],
+                        180, "the admission run")
+
+    lines = spans.read_text().splitlines()
+    assert len(lines) == n_files * rows
+    per_pid: dict = {}
+    for line in lines:
+        pid, start, end = line.split()
+        lo, hi = per_pid.get(pid, (float("inf"), 0.0))
+        per_pid[pid] = (min(lo, float(start)), max(hi, float(end)))
+
+    def read(name):
+        return (pq.read_table(str(out / name)).to_pandas()
+                .sort_values(["conv_id", "turn_idx"]).reset_index(drop=True))
+
+    return per_pid, read("slow"), read("fast")
+
+
+def _assert_two_tasks_overlap(tmp_path, n_files: int, rows: int) -> None:
+    """Two extraction tasks ran side by side in two worker processes,
+    and the sleepy run's output equals the plain one."""
+    per_pid, got, exp = _run_sleepy_extraction(tmp_path, n_files, rows)
+    # two tasks, so a process's first-to-last row span is its task's
+    assert len(per_pid) == 2, f"not two tasks in two workers: {per_pid}"
+    (s0, e0), (s1, e1) = per_pid.values()
+    assert s0 < e1 and s1 < e0, (
+        f"the two extraction tasks ran one after the other: {per_pid}")
+    assert len(exp) == n_files * rows and (exp["status"] == "ok").all()
+    pd.testing.assert_frame_equal(got, exp)
+
+
 class TestFullWidthAdmission:
     """At 2 CPUs and a 512 MiB object store, the extraction map must run
     its first two tasks side by side. Ray Data charges a task that has
@@ -236,48 +286,138 @@ class TestFullWidthAdmission:
     the two tasks' spans must overlap in two worker processes. Runs in
     its own Ray session in a subprocess."""
 
-    TIMEOUT_S = 180
-    ROWS = 4096
-
     def test_two_tasks_overlap_and_output_unchanged(self, tmp_path):
+        _assert_two_tasks_overlap(tmp_path, 2, 4096)
+
+
+class TestSmallInputWidth:
+    """An input of fewer than 4,096 rows per CPU runs as one equal task
+    per CPU: eight 500-row files at 2 CPUs give two 2,000-row tasks that
+    overlap in two workers (a fixed 4,096-row batch bundles all 4,000
+    rows into one task)."""
+
+    def test_eight_small_files_run_as_two_tasks(self, tmp_path):
+        _assert_two_tasks_overlap(tmp_path, 8, 500)
+
+
+class TestExtractionSizing:
+    """``_small_input_blocks(rows, cpus)``: equal blocks, one task each,
+    for an input under 4,096 rows per CPU; ``None`` (the fixed plan)
+    for every larger or uncounted one."""
+
+    def test_large_or_unknown_inputs_keep_the_fixed_plan(self):
+        from mistralocr_pdf2md_translator_ray.pipelines import extract_pipeline as ep
+
+        assert (ep.EXTRACT_BATCH_ROWS, ep.EXTRACT_BLOCK_ROWS) == (4096, 8192)
+        for rows, cpus in [(2 * 4096, 2), (32 * 4096, 32), (1_460_000, 32),
+                           (10**9, 8), (None, 4), (0, 2)]:
+            assert ep._small_input_blocks(rows, cpus) is None
+
+    def test_small_inputs_split_to_one_block_per_cpu(self):
+        from mistralocr_pdf2md_translator_ray.pipelines import extract_pipeline as ep
+
+        assert ep._small_input_blocks(2 * 4096 - 1, 2) == 2
+        assert ep._small_input_blocks(4005, 2) == 2
+        assert ep._small_input_blocks(203, 4) == 4
+        assert ep._small_input_blocks(32 * 4096 - 1, 32) == 32
+        assert ep._small_input_blocks(4095, 1) == 1
+        # never an empty block: fewer rows than CPUs, one row per block
+        assert ep._small_input_blocks(3, 4) == 3
+
+
+class TestSizingInputs:
+    """The sizing counts only what Ray knows without running anything,
+    and splits a small input into equal blocks whatever its files."""
+
+    @staticmethod
+    def _plan(ds):
+        """(extraction batch sizes, repartition targets) in ``ds``'s
+        plan; a target is ("rows", n) for a block-size split and
+        ("blocks", n) for an equal split into n blocks."""
+        from ray.data._internal.logical.operators.all_to_all_operator import (
+            Repartition,
+        )
+        from ray.data._internal.logical.operators.map_operator import (
+            MapBatches,
+            StreamingRepartition,
+        )
+
+        batches, splits, todo = [], [], [ds._logical_plan.dag]
+        while todo:
+            op = todo.pop()
+            if isinstance(op, MapBatches) and op._fn.__name__ == "extract_finalize":
+                batches.append(op._batch_size)
+            if isinstance(op, StreamingRepartition):
+                splits.append(("rows", op.target_num_rows_per_block))
+            if isinstance(op, Repartition):
+                splits.append(("blocks", op._num_outputs))
+            todo.extend(op.input_dependencies)
+        return batches, splits
+
+    @staticmethod
+    def _write(path, rows_per_file):
         import pyarrow.parquet as pq
 
-        in_dir = tmp_path / "in"
-        in_dir.mkdir()
-        for f in range(2):
-            n = range(f * self.ROWS, (f + 1) * self.ROWS)
-            pq.write_table(pa.table({
-                "conv_id": [f"c{i // 64}" for i in n],
-                "turn_idx": pa.array([i % 64 for i in n], pa.int32()),
-                "role": ["tool"] * self.ROWS,
-                "text": [f"row {i}" for i in n],
-                "tool": ["slow"] * self.ROWS,
-                "ts": pa.array(list(n), pa.timestamp("us")),
-            }), str(in_dir / f"part-{f}.parquet"))
-        out, spans = tmp_path / "out", tmp_path / "spans"
-        _run_session_script(_ADMISSION_SCRIPT, [str(in_dir), str(out), str(spans)],
-                            self.TIMEOUT_S, "the admission run")
+        path.mkdir()
+        for f, n in enumerate(rows_per_file):
+            pq.write_table(pa.table({"x": list(range(n))}),
+                           str(path / f"part-{f}.parquet"))
+        return str(path)
 
-        lines = spans.read_text().splitlines()
-        assert len(lines) == 2 * self.ROWS
-        per_pid: dict = {}
-        for line in lines:
-            pid, start, end = line.split()
-            lo, hi = per_pid.get(pid, (float("inf"), 0.0))
-            per_pid[pid] = (min(lo, float(start)), max(hi, float(end)))
-        # two tasks, so a process's first-to-last row span is its task's
-        assert len(per_pid) == 2, f"one worker ran both tasks: {per_pid}"
-        (s0, e0), (s1, e1) = per_pid.values()
-        assert s0 < e1 and s1 < e0, (
-            f"the two extraction tasks ran one after the other: {per_pid}")
+    def test_reads_and_materialized_inputs_are_counted(self, tmp_path,
+                                                       ray_session):
+        from mistralocr_pdf2md_translator_ray.pipelines import extract_pipeline as ep
 
-        def rows(name):
-            return (pq.read_table(str(out / name)).to_pandas()
-                    .sort_values(["conv_id", "turn_idx"]).reset_index(drop=True))
+        bare = rd.read_parquet(self._write(tmp_path / "a", [600 + f for f in range(8)]))
+        assert ep._known_rows(bare) == sum(range(600, 608))
+        mat = rd.from_arrow(pa.table({"x": list(range(300))})).repartition(3).materialize()
+        assert ep._known_rows(mat) == 300
 
-        got, exp = rows("slow"), rows("fast")
-        assert len(exp) == 2 * self.ROWS and (exp["status"] == "ok").all()
-        pd.testing.assert_frame_equal(got, exp)
+    def test_derived_dataset_keeps_fixed_plan_unexecuted(self, tiny_fixture,
+                                                         tmp_path, ray_session):
+        import pyarrow.parquet as pq
+
+        from mistralocr_pdf2md_translator_ray.pipelines import extract_pipeline as ep
+
+        pq.write_table(tiny_fixture[0], str(tmp_path / "t.parquet"))
+
+        def never(batch):
+            raise AssertionError("the derived input was executed")
+
+        derived = rd.read_parquet(str(tmp_path)).map_batches(never)
+        assert ep._known_rows(derived) is None
+        assert self._plan(ep.extract_turns(derived)) == ([4096], [("rows", 8192)])
+        sized = ep.extract_turns(rd.read_parquet(str(tmp_path)))
+        assert self._plan(sized) == ([None], [("blocks", ep._cluster_cpus())])
+
+    def test_one_file_or_few_files_split_equally(self, tiny_fixture,
+                                                 oracle_turns, tmp_path,
+                                                 ray_session):
+        """Fewer files than CPUs, or a single file, still extract as one
+        equal block per CPU, with the oracle's output."""
+        import pyarrow.parquet as pq
+
+        from mistralocr_pdf2md_translator_ray.pipelines import extract_pipeline as ep
+
+        t, p = tiny_fixture
+        p_path = str(tmp_path / "payloads.parquet")
+        pq.write_table(p, p_path)
+        exp = _as_sorted_pdf(oracle_turns)
+        for name, cuts in (("one", [0, t.num_rows]), ("few", [0, 150, 190, t.num_rows])):
+            d = tmp_path / name
+            d.mkdir()
+            for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+                pq.write_table(t.slice(lo, hi - lo), str(d / f"part-{i}.parquet"))
+            out = ep.extract_turns(rd.read_parquet(str(d)),
+                                   payloads_path=p_path).materialize()
+            rows = sorted(m.num_rows for b in out.iter_internal_ref_bundles()
+                          for m in b.metadata)
+            assert len(rows) == ep._cluster_cpus() and sum(rows) == t.num_rows
+            assert rows[-1] - rows[0] <= 1, rows
+            got = _canon(out.to_pandas().sort_values(["conv_id", "turn_idx"])
+                         .reset_index(drop=True))
+            pd.testing.assert_frame_equal(got[exp.columns.tolist()], exp,
+                                          check_dtype=False)
 
 
 class TestEngineContext:

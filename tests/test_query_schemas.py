@@ -63,11 +63,11 @@ EXPECTED = {
     },
     "customers_with_orders": {
         "c_custkey": "int64",
-        "c_name": "object",
+        "c_name": "string",
     },
     "customers_without_orders": {
         "c_custkey": "int64",
-        "c_name": "object",
+        "c_name": "string",
     },
     "customer_order_counts": {
         "c_custkey": "int64",
